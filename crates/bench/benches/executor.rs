@@ -175,22 +175,17 @@ fn bench_executor(c: &mut Criterion) {
             std::hint::black_box(&out);
         });
     });
-    // Quantized tiers, calibrated on the workload graph as serve would
+    // The int8 tier, calibrated on the workload graph as serve would
     // calibrate from baseline statistics at artifact load.
     let calibration = compiled.calibrate(&[(&graph, nodes.clone())]);
-    for (label, precision) in [
-        ("compiled_f16", Precision::F16),
-        ("compiled_int8", Precision::Int8),
-    ] {
-        let quant = CompiledModel::compile_with(&gnn, precision, Some(&calibration))
-            .expect("ParaGraph compiles quantized");
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                quant.predict_into(&graph, &nodes, &mut out);
-                std::hint::black_box(&out);
-            });
+    let int8 = CompiledModel::compile_with(&gnn, Precision::Int8, Some(&calibration))
+        .expect("ParaGraph compiles at int8");
+    group.bench_function("compiled_int8", |b| {
+        b.iter(|| {
+            int8.predict_into(&graph, &nodes, &mut out);
+            std::hint::black_box(&out);
         });
-    }
+    });
     group.finish();
 }
 
@@ -221,16 +216,14 @@ fn write_summary(_c: &mut Criterion) {
     let reference = compiled.predict(&graph, &nodes);
     let ref_scale = reference.iter().fold(1e-6f32, |m, v| m.max(v.abs()));
 
-    // Quantized tiers: calibrated on the workload graph, accuracy
+    // The int8 tier: calibrated on the workload graph, accuracy
     // reported as max abs error over the f32 compiled predictions,
     // normalised by their largest magnitude.
     let calibration = compiled.calibrate(&[(&graph, nodes.clone())]);
-    let f16 = CompiledModel::compile_with(&gnn, Precision::F16, Some(&calibration))
-        .expect("ParaGraph compiles at f16");
     let int8 = CompiledModel::compile_with(&gnn, Precision::Int8, Some(&calibration))
         .expect("ParaGraph compiles at int8");
 
-    let (mut o1, mut o2, mut o3) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut o1, mut o2) = (Vec::new(), Vec::new());
     let mut phases: Vec<Box<dyn FnMut() + '_>> = vec![
         Box::new(|| {
             std::hint::black_box(gnn.predict(&graph, &nodes_arc));
@@ -240,12 +233,8 @@ fn write_summary(_c: &mut Criterion) {
             std::hint::black_box(&o1);
         }),
         Box::new(|| {
-            f16.predict_into(&graph, &nodes, &mut o2);
+            int8.predict_into(&graph, &nodes, &mut o2);
             std::hint::black_box(&o2);
-        }),
-        Box::new(|| {
-            int8.predict_into(&graph, &nodes, &mut o3);
-            std::hint::black_box(&o3);
         }),
     ];
     let timings = measure_interleaved(reps, &mut phases);
@@ -253,30 +242,24 @@ fn write_summary(_c: &mut Criterion) {
     let (tape_us, tape_allocs) = timings[0];
     let (exec_us, exec_allocs) = timings[1];
 
-    let mut quant_summaries = Vec::new();
-    for (label, model, (q_us, q_allocs)) in [("f16", &f16, timings[2]), ("int8", &int8, timings[3])]
-    {
-        let preds = model.predict(&graph, &nodes);
-        let max_rel_err = preds
-            .iter()
-            .zip(&reference)
-            .fold(0f32, |m, (q, r)| m.max((q - r).abs()))
-            / ref_scale;
-        quant_summaries.push((label, q_us, q_allocs, max_rel_err));
-    }
+    let (q_us, q_allocs) = timings[2];
+    let q_err = int8
+        .predict(&graph, &nodes)
+        .iter()
+        .zip(&reference)
+        .fold(0f32, |m, (q, r)| m.max((q - r).abs()))
+        / ref_scale;
 
     let speedup = tape_us / exec_us;
     println!(
         "executor summary: tape {tape_us:.1} us/req ({tape_allocs:.0} allocs), \
          compiled {exec_us:.1} us/req ({exec_allocs:.0} allocs), speedup {speedup:.2}x"
     );
-    for (label, q_us, q_allocs, err) in &quant_summaries {
-        println!(
-            "  {label}: {q_us:.1} us/req ({q_allocs:.0} allocs), \
-             {:.2}x vs f32 compiled, max rel err {err:.2e}",
-            exec_us / q_us
-        );
-    }
+    println!(
+        "  int8: {q_us:.1} us/req ({q_allocs:.0} allocs), \
+         {:.2}x vs f32 compiled, max rel err {q_err:.2e}",
+        exec_us / q_us
+    );
 
     let hardware_threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -296,17 +279,11 @@ fn write_summary(_c: &mut Criterion) {
             "latency_us": exec_us,
             "allocs_per_request": exec_allocs,
         },
-        "compiled_f16": {
-            "latency_us": quant_summaries[0].1,
-            "allocs_per_request": quant_summaries[0].2,
-            "speedup_vs_f32_compiled": exec_us / quant_summaries[0].1,
-            "max_rel_err_vs_f32": quant_summaries[0].3,
-        },
         "compiled_int8": {
-            "latency_us": quant_summaries[1].1,
-            "allocs_per_request": quant_summaries[1].2,
-            "speedup_vs_f32_compiled": exec_us / quant_summaries[1].1,
-            "max_rel_err_vs_f32": quant_summaries[1].3,
+            "latency_us": q_us,
+            "allocs_per_request": q_allocs,
+            "speedup_vs_f32_compiled": exec_us / q_us,
+            "max_rel_err_vs_f32": q_err,
         },
         "speedup": speedup,
     });

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use paragraph_tensor::quant::{self, F16Matrix, QuantMatrix};
+use paragraph_tensor::quant::{self, QuantMatrix};
 use paragraph_tensor::{kernels, CsrPlan, ParamSet, Tape, Tensor, Var};
 use serde_json::json;
 
@@ -204,7 +204,7 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Single-precision vs reduced-precision GEMM on the executor's weight
+/// Single-precision vs int8 GEMM on the executor's weight
 /// shapes: one `m x k` activation block against a `k x n` packed weight
 /// matrix, quantize-on-the-fly included in the int8 timing (that is
 /// what the compiled path pays per request).
@@ -219,7 +219,6 @@ fn bench_gemm_precision(c: &mut Criterion) {
             (((i * 7 + j * 3) % 23) as f32 * 0.09 - 1.0).max(0.0)
         });
         let b = Tensor::from_fn(k, n, |i, j| ((i * 5 + j * 11) % 19) as f32 * 0.1 - 0.9);
-        let b16 = F16Matrix::from_f32(b.as_slice(), k, n);
         let b8 = QuantMatrix::quantize(b.as_slice(), k, n);
         let a_scale = quant::max_abs(a.as_slice()) / 127.0;
         let mut qa = vec![0_i8; m * k];
@@ -230,12 +229,6 @@ fn bench_gemm_precision(c: &mut Criterion) {
         group.bench_function("f32", |bench| {
             bench.iter(|| {
                 kernels::matmul(a.as_slice(), b.as_slice(), &mut out, m, k, n);
-                std::hint::black_box(&out);
-            });
-        });
-        group.bench_function("f16", |bench| {
-            bench.iter(|| {
-                kernels::matmul_f16(a.as_slice(), &b16, &mut out, m, k, n);
                 std::hint::black_box(&out);
             });
         });

@@ -9,7 +9,7 @@ use paragraph_exec::Precision;
 use crate::baseline::BaselineStats;
 use crate::features::FeatureNorm;
 use crate::graphbuild::circuit_schema;
-use crate::pipeline::{CompiledCell, ExecutorMode, FitConfig, TargetModel};
+use crate::pipeline::{CompiledCell, FitConfig, TargetModel};
 use crate::targets::Target;
 
 /// Error from loading a saved model.
@@ -47,7 +47,7 @@ pub struct SavedModel {
     /// monitoring. Absent in artifacts written before baseline capture
     /// existed — such snapshots still load (the field reads as `None`).
     pub baseline: Option<BaselineStats>,
-    /// Pinned compiled-path precision name (`f32`/`f16`/`int8`), if the
+    /// Pinned compiled-path precision name (`f32`/`int8`), if the
     /// model was saved with an explicit pin. `None` (including old
     /// artifacts without the key) follows the process-wide default.
     pub precision: Option<String>,
@@ -138,7 +138,6 @@ impl SavedModel {
             norm: self.norm,
             baseline: self.baseline,
             model: gnn,
-            executor: ExecutorMode::Auto,
             precision,
             calibration,
             compiled: CompiledCell::default(),

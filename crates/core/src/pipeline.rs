@@ -9,9 +9,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use paragraph_exec::{Calibration, CompileError, CompiledModel, Precision};
-use paragraph_gnn::{
-    GnnModel, GraphBatch, GraphTask, HeteroGraph, ModelConfig, TrainConfig, Trainer,
-};
+use paragraph_gnn::{GnnModel, GraphTask, HeteroGraph, ModelConfig, TrainConfig, Trainer};
 use paragraph_layout::{extract, LayoutConfig, LayoutTruth};
 use paragraph_ml::{Gbt, GbtConfig, LinearRegression};
 use paragraph_netlist::Circuit;
@@ -152,86 +150,6 @@ impl FitConfig {
     }
 }
 
-/// Which inference path a [`TargetModel`] uses for its forward passes.
-///
-/// The tape-free compiled executor ([`paragraph_exec::CompiledModel`])
-/// is bitwise-identical to the autograd tape forward, so switching modes
-/// never changes predictions — only per-request allocation and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorMode {
-    /// Always use the compiled executor; panics if the model cannot be
-    /// compiled (an explicit opt-in for deployment).
-    On,
-    /// Always use the autograd tape forward (the reference path).
-    Off,
-    /// Use the compiled executor when compilation succeeds, otherwise
-    /// fall back to the tape — further gated by the process-wide default
-    /// (see [`set_executor_default`] / `PARAGRAPH_EXECUTOR`).
-    #[default]
-    Auto,
-}
-
-impl ExecutorMode {
-    /// Parses the `--executor` flag / `PARAGRAPH_EXECUTOR` env values:
-    /// `on`/`1`/`true`, `off`/`0`/`false`, or `auto`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Some(Self::On),
-            "off" | "0" | "false" => Some(Self::Off),
-            "auto" => Some(Self::Auto),
-            _ => None,
-        }
-    }
-
-    /// Flag-style name (`on`, `off`, `auto`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::On => "on",
-            Self::Off => "off",
-            Self::Auto => "auto",
-        }
-    }
-}
-
-/// Process-wide executor default: `u8::MAX` = not yet initialised (read
-/// `PARAGRAPH_EXECUTOR` lazily), else an [`ExecutorMode`] discriminant.
-static EXECUTOR_DEFAULT: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn mode_to_u8(mode: ExecutorMode) -> u8 {
-    match mode {
-        ExecutorMode::On => 0,
-        ExecutorMode::Off => 1,
-        ExecutorMode::Auto => 2,
-    }
-}
-
-/// Sets the process-wide default inference path for models whose own
-/// `executor` field is [`ExecutorMode::Auto`]. Used by the CLI's
-/// `--executor` flag; overrides any `PARAGRAPH_EXECUTOR` env value.
-pub fn set_executor_default(mode: ExecutorMode) {
-    EXECUTOR_DEFAULT.store(mode_to_u8(mode), Ordering::Relaxed);
-}
-
-/// The process-wide default inference path: whatever
-/// [`set_executor_default`] stored, else the `PARAGRAPH_EXECUTOR`
-/// environment variable (`on`/`off`/`auto`, also `1`/`0`), else
-/// [`ExecutorMode::Auto`].
-pub fn executor_default() -> ExecutorMode {
-    match EXECUTOR_DEFAULT.load(Ordering::Relaxed) {
-        0 => ExecutorMode::On,
-        1 => ExecutorMode::Off,
-        2 => ExecutorMode::Auto,
-        _ => {
-            let mode = std::env::var("PARAGRAPH_EXECUTOR")
-                .ok()
-                .and_then(|v| ExecutorMode::parse(&v))
-                .unwrap_or(ExecutorMode::Auto);
-            EXECUTOR_DEFAULT.store(mode_to_u8(mode), Ordering::Relaxed);
-            mode
-        }
-    }
-}
-
 /// Process-wide precision default: `u8::MAX` = not yet initialised
 /// (read `PARAGRAPH_PRECISION` lazily), else a [`Precision`]
 /// discriminant.
@@ -240,8 +158,7 @@ static PRECISION_DEFAULT: AtomicU8 = AtomicU8::new(u8::MAX);
 fn precision_to_u8(precision: Precision) -> u8 {
     match precision {
         Precision::F32 => 0,
-        Precision::F16 => 1,
-        Precision::Int8 => 2,
+        Precision::Int8 => 1,
     }
 }
 
@@ -254,12 +171,11 @@ pub fn set_precision_default(precision: Precision) {
 
 /// The process-wide compiled-path precision: whatever
 /// [`set_precision_default`] stored, else the `PARAGRAPH_PRECISION`
-/// environment variable (`f32`/`f16`/`int8`), else [`Precision::F32`].
+/// environment variable (`f32`/`int8`), else [`Precision::F32`].
 pub fn precision_default() -> Precision {
     match PRECISION_DEFAULT.load(Ordering::Relaxed) {
         0 => Precision::F32,
-        1 => Precision::F16,
-        2 => Precision::Int8,
+        1 => Precision::Int8,
         _ => {
             let precision = std::env::var("PARAGRAPH_PRECISION")
                 .ok()
@@ -274,8 +190,8 @@ pub fn precision_default() -> Precision {
 /// Lazily compiled executor attached to a [`TargetModel`].
 ///
 /// `Err` inside the lock means compilation was attempted and failed
-/// with the stored reason (the model falls back to the tape path, and
-/// the serving layer surfaces the reason in its health report).
+/// with the stored reason (the model registry rejects such artifacts at
+/// load, naming the reason).
 /// Cloning starts a fresh cell when the original is still uncompiled; a
 /// compiled executor is shared, which is sound because it snapshots the
 /// parameters.
@@ -318,10 +234,7 @@ pub struct TargetModel {
     /// training time for serve-side drift monitoring. `None` on models
     /// restored from artifacts that predate baseline capture.
     pub baseline: Option<BaselineStats>,
-    /// Inference path selection for this model (default
-    /// [`ExecutorMode::Auto`]).
-    pub executor: ExecutorMode,
-    /// Numeric precision for the compiled path. `None` follows the
+    /// Numeric precision for the compiled executor. `None` follows the
     /// process-wide default ([`precision_default`] /
     /// `PARAGRAPH_PRECISION`); a pinned value wins over the default, so
     /// accuracy-critical models can stay [`Precision::F32`] while the
@@ -434,7 +347,6 @@ impl TargetModel {
                 fit,
                 norm: clone_norm(norm),
                 baseline,
-                executor: ExecutorMode::Auto,
                 precision: None,
                 calibration,
                 model,
@@ -504,15 +416,16 @@ impl TargetModel {
             for task in &tasks {
                 trainer.step(&mut gnn, task);
             }
-            // Validation R² in scaled space.
+            // Validation R² in scaled space. The probe pins f32 — the
+            // executor precision that is bitwise equal to the tape — so
+            // best-epoch selection ignores `PARAGRAPH_PRECISION`.
             let probe = Self {
                 target,
                 max_value,
                 fit: fit.clone(),
                 norm: clone_norm(norm),
-                baseline: None,              // per-epoch probe: skip the stats pass
-                executor: ExecutorMode::Off, // probe once, no compile cost
-                precision: None,
+                baseline: None, // per-epoch probe: skip the stats pass
+                precision: Some(Precision::F32),
                 calibration: None,
                 model: gnn.clone(),
                 compiled: CompiledCell::default(),
@@ -539,7 +452,6 @@ impl TargetModel {
                 fit,
                 norm: clone_norm(norm),
                 baseline,
-                executor: ExecutorMode::Auto,
                 precision: None,
                 calibration,
                 model: gnn,
@@ -550,8 +462,8 @@ impl TargetModel {
     }
 
     /// Predicts physical-unit values for the labelled nodes of a prepared
-    /// circuit; returns `(node, prediction)` pairs. Dispatches through
-    /// the same executor/precision selection as the circuit paths.
+    /// circuit; returns `(node, prediction)` pairs. Runs on the same
+    /// compiled executor, at the same precision, as the circuit paths.
     pub fn predict_nodes(&self, pc: &PreparedCircuit, nodes: Vec<u32>) -> Vec<(u32, f64)> {
         if nodes.is_empty() {
             return Vec::new();
@@ -745,15 +657,22 @@ impl TargetModel {
         self.model.embeddings(&pc.graph.graph)
     }
 
-    /// The underlying GNN (for parameter export).
+    /// The underlying GNN: parameter export, and the autograd-tape
+    /// forward ([`GnnModel::predict`]) that the executor is pinned
+    /// against.
     pub fn gnn(&self) -> &GnnModel {
         &self.model
     }
 
-    /// The lazily compiled executor, or `None` if compilation failed.
-    /// Compiles at this model's effective precision, passing the cached
-    /// calibration table along for int8 activation scales.
-    fn compiled(&self) -> Option<&Arc<CompiledModel>> {
+    /// Compiles this model's executor at its effective precision, or
+    /// returns the reason it does not compile. Compiles once; later
+    /// calls (and clones) share the result.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CompileError`] of an inconsistent or unpackable
+    /// model, e.g. non-finite weights pinned to int8.
+    pub fn compile(&self) -> Result<&CompiledModel, CompileError> {
         self.compiled
             .0
             .get_or_init(|| {
@@ -769,17 +688,20 @@ impl TargetModel {
                 .map(Arc::new)
             })
             .as_ref()
-            .ok()
+            .map(Arc::as_ref)
+            .map_err(Clone::clone)
     }
 
-    /// This model's effective inference mode: its own `executor` field,
-    /// with [`ExecutorMode::Auto`] resolved against the process-wide
-    /// default ([`executor_default`]).
-    fn effective_executor(&self) -> ExecutorMode {
-        match self.executor {
-            ExecutorMode::Auto => executor_default(),
-            mode => mode,
-        }
+    /// The compiled executor every prediction path runs on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model does not compile. Served models never do:
+    /// the model registry compiles every artifact at load and rejects
+    /// the ones that fail.
+    fn executor(&self) -> &CompiledModel {
+        self.compile()
+            .unwrap_or_else(|e| panic!("{}/{}: {e}", self.fit.kind.name(), self.target.name()))
     }
 
     /// This model's effective compiled-path precision: its own
@@ -789,113 +711,37 @@ impl TargetModel {
         self.precision.unwrap_or_else(precision_default)
     }
 
-    /// Flag-style name of the precision circuit predictions run at:
-    /// the effective precision when the compiled path is in use, `f32`
-    /// when predictions fall back to the tape.
+    /// Flag-style name of the precision predictions run at.
     pub fn precision_name(&self) -> &'static str {
-        if self.uses_executor() {
-            self.effective_precision().name()
-        } else {
-            Precision::F32.name()
-        }
+        self.effective_precision().name()
     }
 
-    /// Why the compiled path is unavailable for this model, if
-    /// compilation was attempted and failed (the serving layer surfaces
-    /// this in its health report). `None` while the model compiles
-    /// cleanly or when the executor is forced off (nothing to fall back
-    /// from).
-    pub fn compile_fallback(&self) -> Option<String> {
-        if self.effective_executor() == ExecutorMode::Off {
-            return None;
-        }
-        let _ = self.compiled();
-        self.compiled
-            .0
-            .get()
-            .and_then(|r| r.as_ref().err())
-            .map(|e| e.to_string())
-    }
-
-    /// Whether circuit predictions currently run on the compiled
-    /// tape-free executor (vs the autograd tape). Used by the serving
-    /// layer to label per-path metrics.
-    pub fn uses_executor(&self) -> bool {
-        match self.effective_executor() {
-            ExecutorMode::Off => false,
-            ExecutorMode::On => true,
-            ExecutorMode::Auto => self.compiled().is_some(),
-        }
-    }
-
-    /// Scaled-space forward pass, dispatched to the executor or the
-    /// tape per [`TargetModel::uses_executor`]. At [`Precision::F32`]
-    /// both paths are bitwise identical (pinned by the `paragraph-exec`
-    /// parity suite and the golden-metrics tests); at reduced precision
-    /// the compiled path tracks the tape within the documented
-    /// quantization tolerances instead.
+    /// Scaled-space forward pass on the compiled executor. At
+    /// [`Precision::F32`] it is bitwise identical to the tape forward
+    /// (pinned by the `paragraph-exec` parity suite and the
+    /// golden-metrics tests); at int8 it tracks the tape within the
+    /// documented quantization tolerances instead.
     fn predict_scores(&self, graph: &paragraph_gnn::HeteroGraph, nodes: &[u32]) -> Vec<f32> {
-        match self.effective_executor() {
-            ExecutorMode::Off => self
-                .model
-                .predict(graph, &std::sync::Arc::new(nodes.to_vec())),
-            ExecutorMode::On => {
-                let compiled = self.compiled().unwrap_or_else(|| {
-                    panic!(
-                        "executor forced on, but {}/{} does not compile",
-                        self.fit.kind.name(),
-                        self.target.name()
-                    )
-                });
-                compiled.predict(graph, nodes)
-            }
-            ExecutorMode::Auto => match self.compiled() {
-                Some(compiled) => compiled.predict(graph, nodes),
-                None => self
-                    .model
-                    .predict(graph, &std::sync::Arc::new(nodes.to_vec())),
-            },
-        }
+        self.executor().predict(graph, nodes)
     }
 
     /// Scaled-space forward pass over several graphs at once, returning
     /// the per-graph predictions concatenated in member order.
     ///
-    /// When the executor is active this dispatches to
-    /// [`CompiledModel::predict_batch_into`], whose pooled scratch
-    /// rebuilds the block-diagonal union (graph, plan, and node gather)
-    /// in place — zero steady-state heap allocation per batch. The tape
-    /// fallback builds a fresh [`GraphBatch`] and runs one merged
-    /// forward, numerically identical (the union CSR sort is stable and
-    /// every kernel is row/segment independent).
+    /// [`CompiledModel::predict_batch_into`]'s pooled scratch rebuilds
+    /// the block-diagonal union (graph, plan, and node gather) in place
+    /// — zero steady-state heap allocation per batch — and is
+    /// numerically identical to per-graph prediction (the union CSR sort
+    /// is stable and every kernel is row/segment independent).
     fn predict_scores_batch(
         &self,
         graphs: &[&paragraph_gnn::HeteroGraph],
         per_graph: &[Vec<u32>],
     ) -> Vec<f32> {
-        let compiled = match self.effective_executor() {
-            ExecutorMode::Off => None,
-            ExecutorMode::On => Some(self.compiled().unwrap_or_else(|| {
-                panic!(
-                    "executor forced on, but {}/{} does not compile",
-                    self.fit.kind.name(),
-                    self.target.name()
-                )
-            })),
-            ExecutorMode::Auto => self.compiled(),
-        };
-        if let Some(compiled) = compiled {
-            let mut out = Vec::new();
-            compiled.predict_batch_into(graphs, per_graph, &mut out);
-            return out;
-        }
-        let batch = GraphBatch::new(graphs);
-        let mut merged = Vec::with_capacity(per_graph.iter().map(Vec::len).sum());
-        for (i, nodes) in per_graph.iter().enumerate() {
-            merged.extend(nodes.iter().map(|&n| batch.global_node(i, n)));
-        }
-        self.model
-            .predict(batch.graph(), &std::sync::Arc::new(merged))
+        let mut out = Vec::new();
+        self.executor()
+            .predict_batch_into(graphs, per_graph, &mut out);
+        out
     }
 }
 
@@ -1386,8 +1232,8 @@ mod validation_tests {
         let (mut model, best_r2) =
             TargetModel::train_with_validation(&train, &val, Target::Sa, None, fit, &norm, 3);
         assert!(best_r2.is_finite());
-        // The per-epoch probes score on the f32 tape, so the equality
-        // below only holds at f32 — pin it so a process-wide
+        // The per-epoch probes score at f32, so the equality below
+        // only holds at f32 — pin it so a process-wide
         // PARAGRAPH_PRECISION override (the quantized CI job) cannot
         // reroute the final evaluation through a quantized path.
         model.precision = Some(Precision::F32);

@@ -14,16 +14,14 @@
 //! every kind — the parity suite in `tests/parity.rs` pins this, and
 //! `docs/performance.md` documents the contract.
 //!
-//! [`CompiledModel::compile_with`] additionally offers two quantized
-//! tiers that trade that bitwise contract for throughput (accuracy is
+//! [`CompiledModel::compile_with`] additionally offers one quantized
+//! tier that trades that bitwise contract for throughput (accuracy is
 //! then pinned by tolerance instead — see the golden-metrics suite):
-//!
-//! * [`Precision::F16`] — weights stored as binary16, widened on load,
-//!   accumulated in f32;
-//! * [`Precision::Int8`] — weights prepacked per-output-channel into
-//!   interleaved int8 row pairs, activations quantized per call against
-//!   a [`Calibration`] range (or a dynamic max-abs fallback), products
-//!   accumulated exactly in `i32` through the 16-lane AVX2 `madd` GEMM.
+//! [`Precision::Int8`] prepacks weights per-output-channel into
+//! interleaved int8 row pairs, quantizes activations per call against a
+//! [`Calibration`] range (or a dynamic max-abs fallback), and
+//! accumulates products exactly in `i32` through the 16-lane AVX2
+//! `madd` GEMM.
 //!
 //! Buffers live in an [`Arena`]: a set of grow-only scratch vectors sized
 //! on first use for a (model, graph-shape) pair and reused verbatim on
@@ -43,20 +41,18 @@ use std::fmt;
 use std::sync::Mutex;
 
 use paragraph_gnn::{GnnKind, GnnModel, GraphBatch, HeteroGraph};
-use paragraph_tensor::{kernels, quant, F16Matrix, QuantMatrix, Tensor};
+use paragraph_tensor::{kernels, quant, QuantMatrix, Tensor};
 
 /// Numeric representation of a compiled model's weights.
 ///
-/// `F32` keeps the tape path's bitwise-parity contract; `F16` and
-/// `Int8` relax it to a tolerance-based accuracy contract in exchange
-/// for throughput (see `docs/performance.md`).
+/// `F32` keeps the tape path's bitwise-parity contract; `Int8` relaxes
+/// it to a tolerance-based accuracy contract in exchange for throughput
+/// (see `docs/performance.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full f32 weights — bitwise identical to the tape path.
     #[default]
     F32,
-    /// Binary16 weight storage with f32 accumulation.
-    F16,
     /// Symmetric int8 weights (per-output-channel scales) with exact
     /// i32 accumulation and baseline-calibrated activation ranges.
     Int8,
@@ -64,21 +60,19 @@ pub enum Precision {
 
 impl Precision {
     /// Parses the `--precision` flag / `PARAGRAPH_PRECISION` env
-    /// values: `f32`, `f16`, or `int8`.
+    /// values: `f32` or `int8`.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "f32" => Some(Self::F32),
-            "f16" => Some(Self::F16),
             "int8" => Some(Self::Int8),
             _ => None,
         }
     }
 
-    /// Flag-style name (`f32`, `f16`, `int8`).
+    /// Flag-style name (`f32`, `int8`).
     pub fn name(self) -> &'static str {
         match self {
             Self::F32 => "f32",
-            Self::F16 => "f16",
             Self::Int8 => "int8",
         }
     }
@@ -94,9 +88,8 @@ impl fmt::Display for Precision {
 ///
 /// Compilation validates every shape the executor will rely on, so a
 /// `CompiledModel` can run without per-request checks; anything
-/// inconsistent is reported here instead (and lets an `auto` mode fall
-/// back to the tape path). The variants are structured so the serving
-/// layer can surface *why* a model fell back in its health report.
+/// inconsistent is reported here instead. The variants are structured
+/// so the model registry can say *why* it rejected an artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     /// A model-level configuration inconsistency (dimensions, head
@@ -212,7 +205,6 @@ struct CompiledLayer {
 #[derive(Debug, Clone)]
 enum Packed {
     F32(Tensor),
-    F16(F16Matrix),
     Int8(QuantMatrix),
 }
 
@@ -234,7 +226,6 @@ impl Packed {
         }
         Ok(match precision {
             Precision::F32 => Self::F32(t.clone()),
-            Precision::F16 => Self::F16(F16Matrix::from_f32(t.as_slice(), t.rows(), t.cols())),
             Precision::Int8 => Self::Int8(QuantMatrix::quantize(t.as_slice(), t.rows(), t.cols())),
         })
     }
@@ -414,8 +405,7 @@ impl CompiledModel {
     /// # Errors
     ///
     /// Returns a [`CompileError`] naming the first inconsistent shape or
-    /// missing parameter; callers in `auto` mode fall back to the tape
-    /// path on error.
+    /// missing parameter.
     pub fn compile(model: &GnnModel) -> Result<Self, CompileError> {
         Self::compile_with(model, Precision::F32, None)
     }
@@ -565,16 +555,12 @@ impl CompiledModel {
         }
 
         // The head stays f32 under int8 (tiny matrices, error-sensitive
-        // output); f16 packs it like everything else.
-        let head_precision = match precision {
-            Precision::Int8 => Precision::F32,
-            p => p,
-        };
+        // output).
         let head: Vec<(Packed, Tensor)> = model
             .head_specs()
             .into_iter()
             .map(|(w, b)| {
-                Packed::pack(w, head_precision, kind, "head weight").map(|p| (p, b.clone()))
+                Packed::pack(w, Precision::F32, kind, "head weight").map(|p| (p, b.clone()))
             })
             .collect::<Result<_, _>>()?;
         let head_specs = model.head_specs();
@@ -822,7 +808,6 @@ impl CompiledModel {
         }
         match w {
             Packed::F32(t) => kernels::matmul(a, t.as_slice(), out, m, k, n),
-            Packed::F16(h) => kernels::matmul_f16(a, h, out, m, k, n),
             Packed::Int8(q) => {
                 let scale = self.act_scale(site, a);
                 let need = m * k;

@@ -145,10 +145,32 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
     let name = tokens[0];
     let kind_char = name.chars().next().unwrap();
     let (positional, kv) = split_params(&tokens[1..]);
-    let get = |key: &str| -> Option<f64> {
-        kv.iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, v)| parse_value(v).ok())
+    // A key-value parameter the card reads must parse to a finite
+    // number: a bad value is an error naming the device and parameter,
+    // never a silent default (which would also alias the netlist with
+    // one that omits the parameter).
+    let get = |key: &str| -> Result<Option<f64>, String> {
+        let Some(&(_, text)) = kv.iter().find(|(k, _)| *k == key) else {
+            return Ok(None);
+        };
+        match parse_value(text) {
+            Ok(v) if v.is_finite() => Ok(Some(v)),
+            _ => Err(format!(
+                "device '{name}': parameter {key}={text} is not a finite number"
+            )),
+        }
+    };
+    // Counts (`nf`, `nfin`, `m`) must be whole numbers in 1..=u32::MAX,
+    // not truncated or saturated into range.
+    let count = |key: &str, default: u32| -> Result<u32, String> {
+        match get(key)? {
+            None => Ok(default),
+            Some(v) if (1.0..=f64::from(u32::MAX)).contains(&v) && v.fract() == 0.0 => Ok(v as u32),
+            Some(v) => Err(format!(
+                "device '{name}': count {key}={v} is not a whole number in 1..={}",
+                u32::MAX
+            )),
+        }
     };
 
     match kind_char {
@@ -160,11 +182,11 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             let (polarity, thick) =
                 mos_model(model).ok_or_else(|| format!("unknown mosfet model '{model}'"))?;
             let params = DeviceParams {
-                l: get("l").unwrap_or(16e-9),
-                w: get("w").unwrap_or(0.0),
-                nf: get("nf").unwrap_or(1.0) as u32,
-                nfin: get("nfin").unwrap_or(2.0) as u32,
-                multi: get("m").unwrap_or(1.0) as u32,
+                l: get("l")?.unwrap_or(16e-9),
+                w: get("w")?.unwrap_or(0.0),
+                nf: count("nf", 1)?,
+                nfin: count("nfin", 2)?,
+                multi: count("m", 1)?,
                 value: 0.0,
             };
             let d = scope.circuit.net(positional[0]);
@@ -182,7 +204,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             let p = scope.circuit.net(positional[0]);
             let n = scope.circuit.net(positional[1]);
             let ohms = parse_value(positional[2]).map_err(|e| e.to_string())?;
-            let l = get("l").unwrap_or(1e-6);
+            let l = get("l")?.unwrap_or(1e-6);
             scope.circuit.add_resistor(name, p, n, ohms, l);
         }
         'c' => {
@@ -192,7 +214,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             let p = scope.circuit.net(positional[0]);
             let n = scope.circuit.net(positional[1]);
             let farads = parse_value(positional[2]).map_err(|e| e.to_string())?;
-            let multi = get("m").unwrap_or(1.0) as u32;
+            let multi = count("m", 1)?;
             scope.circuit.add_capacitor(name, p, n, farads, multi);
         }
         'd' => {
@@ -201,7 +223,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             }
             let p = scope.circuit.net(positional[0]);
             let n = scope.circuit.net(positional[1]);
-            let nf = get("nf").unwrap_or(1.0) as u32;
+            let nf = count("nf", 1)?;
             scope.circuit.add_diode(name, p, n, nf);
         }
         'q' => {

@@ -83,3 +83,38 @@ fn pinned_counterexamples_never_panic() {
     // Very long single token (heap-built, so pinned separately).
     never_panics(&format!("r1 a b {}\n.end\n", "9".repeat(4096)));
 }
+
+/// Device parameters that do not parse, are not finite, or are counts
+/// outside `1..=u32::MAX` are rejected with an error naming the device
+/// and parameter — never replaced by default sizing (which made
+/// `l=nan nfin=2` and `nfin=inf` the same circuit) or saturated.
+#[test]
+fn bad_device_parameters_are_rejected_by_name() {
+    let cases: &[(&str, &str)] = &[
+        ("mp o i vdd vdd pch l=nan nfin=2\n.end\n", "l=nan"),
+        ("mp o i vdd vdd pch nfin=inf\n.end\n", "nfin=inf"),
+        ("mp o i vdd vdd pch nfin=1e308\n.end\n", "nfin="),
+        ("mp o i vdd vdd pch l=1e400\n.end\n", "l=1e400"),
+        ("mn o i vss vss nch nf=0\n.end\n", "nf="),
+        ("mn o i vss vss nch m=2.5\n.end\n", "m="),
+        ("c1 a b 1f m=-1\n.end\n", "m="),
+        ("d1 a b nf=x\n.end\n", "nf=x"),
+        ("r1 a b 1k l=inf\n.end\n", "l=inf"),
+    ];
+    for (src, param) in cases {
+        let err = parse_spice(src).expect_err(src).to_string();
+        let device = src.split_whitespace().next().unwrap();
+        assert!(
+            err.contains(&format!("'{device}'")) && err.contains(param),
+            "{src:?}: error must name the device and parameter: {err}"
+        );
+    }
+    // In-range values still parse, at their exact meaning.
+    let ok = parse_spice("mp o i vdd vdd pch nfin=4294967295 nf=3 m=2 l=20n\n.end\n")
+        .unwrap()
+        .flatten()
+        .unwrap();
+    let p = &ok.devices()[0].params;
+    assert_eq!((p.nfin, p.nf, p.multi), (u32::MAX, 3, 2));
+    assert_eq!(p.l, 20e-9);
+}

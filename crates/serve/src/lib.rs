@@ -2,14 +2,16 @@
 //!
 //! A std-only concurrent inference service for ParaGraph models: load a
 //! directory of trained [`paragraph::SavedModel`] snapshots, then answer
-//! `predict`/`stats`/`erc` requests over a JSON-lines TCP protocol or
-//! through the in-process [`Service`] API.
+//! `predict`/`stats`/`erc` requests over one TCP port (HTTP/1.1 or
+//! JSON lines) or through the in-process [`Service`] API.
 //!
 //! The moving parts:
 //!
-//! * [`ModelRegistry`] — loads and validates snapshots, assembles
-//!   capacitance-range members into a [`paragraph::CapEnsemble`], and
-//!   hot-reloads atomically (in-flight requests keep their snapshot).
+//! * [`ModelRegistry`] — loads, validates and compiles snapshots,
+//!   assembles capacitance-range members into a
+//!   [`paragraph::CapEnsemble`], and hot-reloads atomically (in-flight
+//!   requests keep their snapshot; a snapshot with a model that does not
+//!   compile is rejected whole).
 //! * [`Service`] — a fixed worker pool (`std::thread` + `std::sync::mpsc`)
 //!   behind a bounded queue: backpressure via `overloaded` rejections,
 //!   per-request deadlines, and per-request panic isolation.
@@ -21,8 +23,6 @@
 //! * [`DriftMonitor`] — compares rolling windows of incoming circuit
 //!   features against the training baselines stored in each model
 //!   artifact; out-of-distribution traffic degrades the `health` op.
-//! * [`Server`] — `std::net::TcpListener` front end, one thread per
-//!   connection, one JSON response line per request line.
 //! * [`Gateway`] — sharded evented front end: N thread-per-core shards,
 //!   each with its own [`Service`], speaking HTTP/1.1 keep-alive and
 //!   JSON-lines on one port via first-byte protocol sniffing.
@@ -48,7 +48,6 @@ mod gateway;
 mod metrics;
 mod protocol;
 mod registry;
-mod server;
 mod service;
 
 pub use cache::{fnv1a, PredictionCache};
@@ -59,5 +58,4 @@ pub use protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeErr
 pub use registry::{
     LoadedModels, ModelRef, ModelRegistry, RegistryError, ReloadReport, ENSEMBLE_KEY,
 };
-pub use server::{Server, ServerHandle, DEFAULT_READ_TIMEOUT};
 pub use service::{PendingCall, Service, ServiceConfig, Submitted};

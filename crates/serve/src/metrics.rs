@@ -45,17 +45,17 @@ struct EndpointMetrics {
     rolling: Arc<RollingQuantile>,
 }
 
-/// Counters and rolling latency windows for one inference path
-/// (compiled executor or autograd tape).
+/// Counters and rolling latency windows for one compiled-path
+/// precision.
 #[derive(Debug)]
-struct PathMetrics {
+struct PrecisionMetrics {
     requests: Arc<Counter>,
     rolling: Arc<RollingQuantile>,
 }
 
 /// Names of the compiled-path precisions tracked by the per-precision
 /// serving metrics, in label order.
-pub const PRECISION_NAMES: [&str; 3] = ["f32", "f16", "int8"];
+pub const PRECISION_NAMES: [&str; 2] = ["f32", "int8"];
 
 /// All service counters. Cheap to share behind an `Arc`; every method
 /// takes `&self`.
@@ -67,9 +67,7 @@ pub const PRECISION_NAMES: [&str; 3] = ["f32", "f16", "int8"];
 pub struct Metrics {
     registry: Registry,
     endpoints: Vec<EndpointMetrics>,
-    executor_path: PathMetrics,
-    tape_path: PathMetrics,
-    precisions: Vec<PathMetrics>,
+    precisions: Vec<PrecisionMetrics>,
     queue_depth: Arc<Gauge>,
     batch_size: Arc<Histogram>,
     batches_formed: Arc<Counter>,
@@ -109,17 +107,9 @@ impl Metrics {
                 ),
             })
             .collect();
-        let path_metrics = |name: &'static str, path: &'static str| PathMetrics {
-            requests: registry.counter(name, &[]),
-            rolling: registry.rolling(
-                "paragraph_serve_predict_path_latency_us",
-                &[("path", path)],
-                ROLLING_WINDOW,
-            ),
-        };
         let precisions = PRECISION_NAMES
             .iter()
-            .map(|&p| PathMetrics {
+            .map(|&p| PrecisionMetrics {
                 requests: registry.counter(
                     "paragraph_serve_precision_requests_total",
                     &[("precision", p)],
@@ -133,8 +123,6 @@ impl Metrics {
             .collect();
         Self {
             endpoints,
-            executor_path: path_metrics("paragraph_serve_executor_requests_total", "executor"),
-            tape_path: path_metrics("paragraph_serve_tape_requests_total", "tape"),
             precisions,
             queue_depth: registry.gauge("paragraph_queue_depth", &[]),
             batch_size: registry.histogram("paragraph_serve_batch_size", &[], &BATCH_SIZE_BUCKETS),
@@ -172,22 +160,10 @@ impl Metrics {
         e.rolling.observe(us);
     }
 
-    /// Records which inference path (compiled executor vs autograd
-    /// tape) served a predict group, with its end-to-end latency.
-    /// Cache hits never reach this — only groups that ran inference.
-    pub fn record_path(&self, executor: bool, latency: Duration) {
-        let p = if executor {
-            &self.executor_path
-        } else {
-            &self.tape_path
-        };
-        p.requests.inc();
-        p.rolling.observe(latency.as_secs_f64() * 1e6);
-    }
-
-    /// Records the numeric precision (`f32`/`f16`/`int8`) a predict
-    /// group's inference ran at, with its end-to-end latency. Unknown
-    /// names are ignored (forward compatibility with new tiers).
+    /// Records the numeric precision (`f32`/`int8`) a predict group's
+    /// inference ran at, with its end-to-end latency. Cache hits never
+    /// reach this — only groups that ran inference. Unknown names are
+    /// ignored (forward compatibility with new tiers).
     pub fn record_precision(&self, precision: &str, latency: Duration) {
         let Some(i) = PRECISION_NAMES.iter().position(|&p| p == precision) else {
             return;
@@ -231,16 +207,6 @@ impl Metrics {
     /// Jobs admitted by open admission windows so far.
     pub fn window_admitted_total(&self) -> u64 {
         self.window_admitted.get()
-    }
-
-    /// Requests served by the compiled executor path so far.
-    pub fn executor_requests(&self) -> u64 {
-        self.executor_path.requests.get()
-    }
-
-    /// Requests served by the autograd tape path so far.
-    pub fn tape_requests(&self) -> u64 {
-        self.tape_path.requests.get()
     }
 
     /// The service's own registry; the drift monitor and slow-request
@@ -314,7 +280,7 @@ impl Metrics {
                 })
             })
             .collect();
-        let path_json = |p: &PathMetrics| {
+        let precision_json = |p: &PrecisionMetrics| {
             let qs = p.rolling.quantiles(&RENDERED_QUANTILES);
             let rolling: Vec<Value> = RENDERED_QUANTILES
                 .iter()
@@ -341,14 +307,9 @@ impl Metrics {
             "queue_depth": self.queue_depth(),
             "bad_lines": self.bad_lines(),
             "endpoints": endpoints,
-            "paths": {
-                "executor": path_json(&self.executor_path),
-                "tape": path_json(&self.tape_path),
-            },
             "precisions": {
-                "f32": path_json(&self.precisions[0]),
-                "f16": path_json(&self.precisions[1]),
-                "int8": path_json(&self.precisions[2]),
+                "f32": precision_json(&self.precisions[0]),
+                "int8": precision_json(&self.precisions[1]),
             },
             "batching": {
                 "batches_formed": self.batches_formed(),
@@ -563,41 +524,6 @@ mod tests {
         assert!(idle[0]["latency_us"].is_null());
     }
 
-    /// Executor-vs-tape path counters and their rolling windows render
-    /// and snapshot independently of the per-op endpoint families.
-    #[test]
-    fn path_metrics_track_executor_and_tape() {
-        let m = Metrics::new();
-        m.record_path(true, Duration::from_micros(40));
-        m.record_path(true, Duration::from_micros(60));
-        m.record_path(false, Duration::from_micros(500));
-        assert_eq!(m.executor_requests(), 2);
-        assert_eq!(m.tape_requests(), 1);
-        let cache = PredictionCache::new(1);
-        let text = m.render(&cache);
-        assert!(text.contains("paragraph_serve_executor_requests_total"));
-        assert!(text.contains("paragraph_serve_tape_requests_total"));
-        assert!(
-            text.contains(
-                "paragraph_serve_predict_path_latency_us{path=\"executor\",quantile=\"0.5\"} 40"
-            ),
-            "missing executor-path p50 in:\n{text}"
-        );
-        assert!(
-            text.contains(
-                "paragraph_serve_predict_path_latency_us{path=\"tape\",quantile=\"0.5\"} 500"
-            ),
-            "missing tape-path p50 in:\n{text}"
-        );
-        let snap = m.snapshot(&cache);
-        assert_eq!(snap["paths"]["executor"]["requests"].as_u64(), Some(2));
-        assert_eq!(snap["paths"]["tape"]["requests"].as_u64(), Some(1));
-        assert_eq!(
-            snap["paths"]["tape"]["latency_rolling"][0]["latency_us"].as_f64(),
-            Some(500.0)
-        );
-    }
-
     /// Per-precision request counters and latency windows render under
     /// their `precision` label and appear in the JSON snapshot; unknown
     /// precision names are ignored.
@@ -610,7 +536,6 @@ mod tests {
         m.record_precision("bf16", Duration::from_micros(999)); // unknown: dropped
         assert_eq!(m.precision_requests("int8"), 2);
         assert_eq!(m.precision_requests("f32"), 1);
-        assert_eq!(m.precision_requests("f16"), 0);
         assert_eq!(m.precision_requests("bf16"), 0);
         let cache = PredictionCache::new(1);
         let text = m.render(&cache);
@@ -626,7 +551,6 @@ mod tests {
         );
         let snap = m.snapshot(&cache);
         assert_eq!(snap["precisions"]["int8"]["requests"].as_u64(), Some(2));
-        assert_eq!(snap["precisions"]["f16"]["requests"].as_u64(), Some(0));
         assert_eq!(
             snap["precisions"]["f32"]["latency_rolling"][0]["latency_us"].as_f64(),
             Some(200.0)

@@ -1,6 +1,7 @@
 //! Model registry: loads a directory of [`SavedModel`] JSON snapshots,
-//! validates each against the circuit schema, assembles capacitance-range
-//! members into a [`CapEnsemble`], and supports atomic hot reload.
+//! validates each against the circuit schema, compiles each one's
+//! executor, assembles capacitance-range members into a [`CapEnsemble`],
+//! and supports atomic hot reload.
 //!
 //! Readers hold an [`Arc`] to an immutable [`LoadedModels`] snapshot;
 //! [`ModelRegistry::reload`] builds a complete new snapshot off to the
@@ -11,7 +12,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
-use paragraph::{CapEnsemble, ExecutorMode, Precision, SavedModel, TargetModel};
+use paragraph::{CapEnsemble, Precision, SavedModel, TargetModel};
 
 /// Reserved model key that routes to the assembled [`CapEnsemble`].
 pub const ENSEMBLE_KEY: &str = "cap_ensemble";
@@ -48,19 +49,8 @@ pub enum ModelRef {
 }
 
 impl ModelRef {
-    /// Whether inference for this model currently runs on the compiled
-    /// tape-free executor (vs the autograd tape); used to label the
-    /// per-path serving metrics. Ensembles report their members' shared
-    /// mode (all members are stamped identically at load time).
-    pub fn uses_executor(&self) -> bool {
-        match self {
-            ModelRef::Single(m) => m.uses_executor(),
-            ModelRef::Ensemble(e) => e.members().first().is_some_and(|m| m.uses_executor()),
-        }
-    }
-
     /// Flag-style name of the precision inference for this model runs
-    /// at (`f32`/`f16`/`int8`); used to label the per-precision serving
+    /// at (`f32`/`int8`); used to label the per-precision serving
     /// metrics. Ensembles report their members' shared precision.
     pub fn precision_name(&self) -> &'static str {
         match self {
@@ -142,12 +132,14 @@ impl LoadedModels {
     }
 
     /// Builds a snapshot from in-memory models (no disk involved); used
-    /// by benches and in-process embedders.
+    /// by benches and in-process embedders. Compiles every model's
+    /// executor; ensemble members share those compiled executors.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError`] when ensemble assembly fails (e.g. two
-    /// CAP members share a `max_value`).
+    /// Returns [`RegistryError`] when a model does not compile (naming
+    /// its key and the reason) or ensemble assembly fails (e.g. two CAP
+    /// members share a `max_value`).
     pub fn from_models(
         named: impl IntoIterator<Item = (String, TargetModel)>,
     ) -> Result<Self, RegistryError> {
@@ -156,6 +148,9 @@ impl LoadedModels {
             if snapshot.models.contains_key(&name) {
                 return Err(RegistryError::new(format!("duplicate model key '{name}'")));
             }
+            model
+                .compile()
+                .map_err(|e| RegistryError::new(format!("model '{name}': {e}")))?;
             snapshot.models.insert(name, Arc::new(model));
         }
         snapshot.assemble_ensemble()?;
@@ -200,61 +195,44 @@ pub struct ReloadReport {
 #[derive(Debug)]
 pub struct ModelRegistry {
     dir: Option<PathBuf>,
-    executor: ExecutorMode,
     precision: Option<Precision>,
     current: RwLock<Arc<LoadedModels>>,
 }
 
 impl ModelRegistry {
-    /// Loads every `*.json` snapshot under `dir` with the default
-    /// [`ExecutorMode::Auto`] inference path (compiled executor when the
-    /// model compiles, autograd tape otherwise — further gated by the
-    /// process-wide [`paragraph::executor_default`]).
+    /// Loads every `*.json` snapshot under `dir` and compiles each
+    /// model's executor (ensemble members included) at the model's
+    /// precision: its artifact pin, else the process-wide
+    /// [`paragraph::precision_default`].
     ///
     /// # Errors
     ///
     /// Returns [`RegistryError`] when the directory cannot be read, any
-    /// snapshot fails to parse or validate against the circuit schema,
-    /// or ensemble assembly fails. Nothing is partially loaded.
+    /// snapshot fails to parse, validate against the circuit schema or
+    /// compile (the message names the file and the reason), or ensemble
+    /// assembly fails. Nothing is partially loaded.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, RegistryError> {
-        Self::open_with_executor(dir, ExecutorMode::Auto)
+        Self::open_with(dir, None)
     }
 
-    /// Like [`Self::open`] but stamps every loaded model (and ensemble
-    /// member) with `executor`. The mode is remembered and reapplied on
-    /// every [`Self::reload`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::open`].
-    pub fn open_with_executor(
-        dir: impl Into<PathBuf>,
-        executor: ExecutorMode,
-    ) -> Result<Self, RegistryError> {
-        Self::open_with(dir, executor, None)
-    }
-
-    /// Like [`Self::open_with_executor`], additionally stamping every
-    /// loaded model with a compiled-path `precision`. A model whose
-    /// artifact pins its own precision keeps the pin — so
-    /// accuracy-critical targets can stay `f32` while the rest of the
-    /// registry serves quantized. `None` leaves models on the
-    /// process-wide default. Both settings are remembered and reapplied
-    /// on every [`Self::reload`].
+    /// Like [`Self::open`], additionally stamping every loaded model
+    /// with a compiled-path `precision`. A model whose artifact pins its
+    /// own precision keeps the pin — so accuracy-critical targets can
+    /// stay `f32` while the rest of the registry serves quantized.
+    /// `None` leaves models on the process-wide default. The setting is
+    /// remembered and reapplied on every [`Self::reload`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`Self::open`].
     pub fn open_with(
         dir: impl Into<PathBuf>,
-        executor: ExecutorMode,
         precision: Option<Precision>,
     ) -> Result<Self, RegistryError> {
         let dir = dir.into();
-        let snapshot = load_dir(&dir, executor, precision)?;
+        let snapshot = load_dir(&dir, precision)?;
         Ok(Self {
             dir: Some(dir),
-            executor,
             precision,
             current: RwLock::new(Arc::new(snapshot)),
         })
@@ -265,7 +243,6 @@ impl ModelRegistry {
     pub fn from_snapshot(snapshot: LoadedModels) -> Self {
         Self {
             dir: None,
-            executor: ExecutorMode::Auto,
             precision: None,
             current: RwLock::new(Arc::new(snapshot)),
         }
@@ -277,15 +254,16 @@ impl ModelRegistry {
         self.current.read().expect("registry lock poisoned").clone()
     }
 
-    /// Re-scans the backing directory and atomically swaps in the new
-    /// snapshot; on error the previous snapshot stays active.
+    /// Re-scans the backing directory, compiles every model, and
+    /// atomically swaps in the new snapshot; on error (including a model
+    /// that does not compile) the previous snapshot stays active.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Self::open`].
     pub fn reload(&self) -> Result<ReloadReport, RegistryError> {
         let snapshot = match &self.dir {
-            Some(dir) => load_dir(dir, self.executor, self.precision)?,
+            Some(dir) => load_dir(dir, self.precision)?,
             None => return Ok(self.report()),
         };
         let report = ReloadReport {
@@ -305,11 +283,7 @@ impl ModelRegistry {
     }
 }
 
-fn load_dir(
-    dir: &Path,
-    executor: ExecutorMode,
-    precision: Option<Precision>,
-) -> Result<LoadedModels, RegistryError> {
+fn load_dir(dir: &Path, precision: Option<Precision>) -> Result<LoadedModels, RegistryError> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| RegistryError::new(format!("cannot read {}: {e}", dir.display())))?;
     let mut named = Vec::new();
@@ -330,14 +304,16 @@ fn load_dir(
         let mut model = SavedModel::from_json(&text)
             .and_then(SavedModel::into_model)
             .map_err(|e| RegistryError::new(format!("{}: {e}", path.display())))?;
-        // Ensemble members are cloned out of this set, so stamping here
-        // covers both individual models and the assembled ensemble. An
-        // artifact's own precision pin wins over the registry-wide
-        // setting.
-        model.executor = executor;
+        // Ensemble members are cloned out of this set, so stamping and
+        // compiling here covers both individual models and the assembled
+        // ensemble. An artifact's own precision pin wins over the
+        // registry-wide setting.
         if model.precision.is_none() {
             model.precision = precision;
         }
+        model
+            .compile()
+            .map_err(|e| RegistryError::new(format!("{}: {e}", path.display())))?;
         named.push((stem, model));
     }
     LoadedModels::from_models(named)

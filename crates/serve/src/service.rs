@@ -668,9 +668,6 @@ impl Service {
                     "max_value": opt(m.max_value),
                     "baseline_stats": m.baseline.is_some(),
                     "precision": m.precision_name(),
-                    "compile_fallback": m
-                        .compile_fallback()
-                        .map_or(Value::Null, |reason| json!(reason)),
                 })
             })
             .collect();
@@ -1109,16 +1106,12 @@ fn predict_many(
         };
         match outcome {
             Ok((per_circuit, timing)) => {
-                // Attribute this forward pass to its inference path
-                // (compiled executor vs tape). Cache hits never get here.
+                // Attribute this forward pass to its precision. Cache
+                // hits never get here.
                 let inference_us = match &timing {
                     GroupTiming::Profiled { profile, .. } => profile.inference_us,
                     GroupTiming::Batched { total_us, .. } => *total_us,
                 };
-                metrics.record_path(
-                    model.uses_executor(),
-                    Duration::from_secs_f64(inference_us / 1e6),
-                );
                 metrics.record_precision(
                     model.precision_name(),
                     Duration::from_secs_f64(inference_us / 1e6),

@@ -2,7 +2,7 @@
 //! keep-alive and Content-Length framing, header case-insensitivity,
 //! malformed-request status codes, load shedding (`503` +
 //! `Retry-After`), pipelining, and first-byte protocol sniffing parity
-//! with the legacy JSON-lines server.
+//! with the in-process `Service::handle_line`.
 
 mod common;
 
@@ -15,7 +15,7 @@ use common::{
     test_service_config, HttpClient, LineClient, NETLIST_A, NETLIST_B,
 };
 use paragraph_serve::{
-    GatewayConfig, ModelRegistry, Server, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
+    GatewayConfig, ModelRegistry, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
 };
 use serde_json::{json, Value};
 
@@ -322,12 +322,11 @@ fn load_shedding_yields_503_with_retry_after_and_structured_overloaded() {
 }
 
 #[test]
-fn json_lines_over_gateway_is_byte_identical_to_legacy_server() {
+fn json_lines_over_gateway_is_byte_identical_to_handle_line() {
     let (dir, _ensemble) = build_model_dir("parity");
     let config = test_service_config();
     let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let legacy_service = Arc::new(Service::new(registry, config.clone()));
-    let legacy = Server::bind("127.0.0.1:0", legacy_service).unwrap().spawn();
+    let service = Service::new(registry, config.clone());
     let handle = start_gateway(
         &dir,
         GatewayConfig {
@@ -337,8 +336,7 @@ fn json_lines_over_gateway_is_byte_identical_to_legacy_server() {
         },
     );
 
-    let mut old = LineClient::connect(legacy.addr());
-    let mut new = LineClient::connect(handle.addr());
+    let mut client = LineClient::connect(handle.addr());
 
     // Cold predict, warm (cached) predict, malformed JSON, unknown
     // model: every raw response line must match byte for byte.
@@ -350,22 +348,20 @@ fn json_lines_over_gateway_is_byte_identical_to_legacy_server() {
         r#"{"op": "stats", "id": 4}"#.to_owned(),
     ];
     for request in &requests {
-        old.send(request);
-        new.send(request);
-        let old_line = old.recv_raw();
-        let new_line = new.recv_raw();
+        let direct = service.handle_line(request);
+        client.send(request);
+        let wire = client.recv_raw();
         // `stats` contains live latency numbers; compare ids only.
         if request.contains("stats") {
-            let old_v: Value = serde_json::from_str(&old_line).unwrap();
-            let new_v: Value = serde_json::from_str(&new_line).unwrap();
-            assert_eq!(old_v["id"], new_v["id"]);
-            assert_eq!(old_v["ok"], new_v["ok"]);
+            let direct_v: Value = serde_json::from_str(&direct).unwrap();
+            let wire_v: Value = serde_json::from_str(&wire).unwrap();
+            assert_eq!(direct_v["id"], wire_v["id"]);
+            assert_eq!(direct_v["ok"], wire_v["ok"]);
         } else {
-            assert_eq!(old_line, new_line, "gateway diverged on: {request}");
+            assert_eq!(direct, wire, "gateway diverged on: {request}");
         }
     }
 
-    legacy.shutdown();
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -708,6 +704,53 @@ fn debug_endpoints_respond_under_shedding() {
     }
     paragraph_obs::set_store_enabled(false);
     store.reset();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two device cards that once parsed to the same circuit (a bad value
+/// silently became default sizing), and so shared a cache key: the
+/// second request was answered from the first one's cache entry. Both
+/// now get a structured `invalid_netlist` naming the device and
+/// parameter, over HTTP and JSON lines alike.
+#[test]
+fn bad_device_parameters_get_structured_errors_not_a_shared_cache_entry() {
+    let (dir, _ensemble) = build_model_dir("badparam");
+    let handle = start_gateway(
+        &dir,
+        GatewayConfig {
+            shards: 1,
+            service: test_service_config(),
+            ..GatewayConfig::default()
+        },
+    );
+    let netlists = [
+        (
+            "mp o i vdd vdd pch l=nan nfin=2\nmn o i vss vss nch\n.end\n",
+            "l=nan",
+        ),
+        (
+            "mp o i vdd vdd pch nfin=inf\nmn o i vss vss nch\n.end\n",
+            "nfin=inf",
+        ),
+    ];
+    let mut http = HttpClient::connect(handle.addr());
+    let mut line = LineClient::connect(handle.addr());
+    for (id, (netlist, param)) in (1_u64..).zip(netlists) {
+        let r = http.post_json("/predict", &predict_body(id, netlist));
+        assert_eq!(r.status, 400, "{:?}", r.json());
+        let v = line.roundtrip(&predict_line(id, netlist, None));
+        for envelope in [r.json(), v] {
+            assert_eq!(envelope["ok"].as_bool(), Some(false), "{envelope:?}");
+            assert_eq!(envelope["error"]["code"].as_str(), Some("invalid_netlist"));
+            let message = envelope["error"]["message"].as_str().unwrap();
+            assert!(
+                message.contains("'mp'") && message.contains(param),
+                "{message}"
+            );
+        }
+    }
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,68 +1,30 @@
-//! End-to-end test: spawn the TCP server on an ephemeral port, hammer it
-//! with concurrent clients mixing valid, malformed, and past-deadline
-//! requests, and assert that served predictions are bit-identical to
-//! direct in-process model predictions on both cache paths.
+//! End-to-end test: spawn the gateway on an ephemeral port, hammer it
+//! with concurrent JSON-lines clients mixing valid, malformed, and
+//! past-deadline requests, and assert that served predictions are
+//! bit-identical to direct in-process model predictions on both cache
+//! paths.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::sync::Arc;
 
-use paragraph::{
-    fit_norm, normalize_circuits, CapEnsemble, FitConfig, GnnKind, PreparedCircuit, SavedModel,
-    Target, TargetModel,
+use common::{
+    build_model_dir, direct_reference, predict_line, response_predictions, start_gateway,
+    train_cap_model, LineClient as Client, NETLIST_A, NETLIST_B,
 };
-use paragraph_layout::LayoutConfig;
-use paragraph_netlist::parse_spice;
-use paragraph_serve::{ModelRegistry, Server, ServerHandle, Service, ServiceConfig, ENSEMBLE_KEY};
+use paragraph::SavedModel;
+use paragraph_serve::{
+    GatewayConfig, GatewayHandle, ModelRegistry, Service, ServiceConfig, ENSEMBLE_KEY,
+};
 use serde_json::Value;
 
-const NETLIST_A: &str = "mp o i vdd vdd pch\nmn o i vss vss nch\n.end\n";
-const NETLIST_B: &str = "mp z a vdd vdd pch nf=2\nmn z a vss vss nch\nc1 z vss 1f\n.end\n";
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 24;
 
-fn train_cap_model(max_v: f64) -> TargetModel {
-    let circuit = parse_spice(NETLIST_A).unwrap().flatten().unwrap();
-    let mut train = vec![PreparedCircuit::new(
-        "seed",
-        circuit,
-        &LayoutConfig::default(),
-    )];
-    let norm = fit_norm(&train);
-    normalize_circuits(&mut train, &norm);
-    let mut fit = FitConfig::quick(GnnKind::Gcn);
-    fit.epochs = 2;
-    fit.embed_dim = 4;
-    fit.layers = 1;
-    TargetModel::train(&train, Target::Cap, Some(max_v), fit, &norm).0
-}
-
-/// Trains two range members, snapshots them into a fresh model dir, and
-/// returns the dir plus the reference ensemble reloaded from those very
-/// files (so the reference went through the same JSON round trip the
-/// server's registry does).
-fn build_model_dir() -> (PathBuf, CapEnsemble) {
-    let dir = std::env::temp_dir().join(format!(
-        "paragraph-serve-it-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id(),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut reloaded = Vec::new();
-    for (name, max_v) in [("cap_1f", 1e-15), ("cap_10f", 10e-15)] {
-        let model = train_cap_model(max_v);
-        let json = SavedModel::from_model(&model).to_json();
-        std::fs::write(dir.join(format!("{name}.json")), &json).unwrap();
-        reloaded.push(SavedModel::from_json(&json).unwrap().into_model().unwrap());
-    }
-    let ensemble = CapEnsemble::try_new(reloaded).unwrap();
-    (dir, ensemble)
-}
-
-fn start_server(dir: &Path) -> (Arc<Service>, ServerHandle) {
-    let registry = Arc::new(ModelRegistry::open(dir).unwrap());
+/// A one-shard gateway over `dir` (so every connection shares one cache
+/// and one metrics registry) plus that shard's in-process service.
+fn start_server(dir: &Path) -> (Arc<Service>, GatewayHandle) {
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 256,
@@ -70,66 +32,20 @@ fn start_server(dir: &Path) -> (Arc<Service>, ServerHandle) {
         enable_debug_ops: true,
         ..ServiceConfig::default()
     };
-    let service = Arc::new(Service::new(registry, config));
-    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
-    (service, server.spawn())
-}
-
-/// Expected `{"net": ..., "value": ...}` pairs for `netlist`, computed
-/// directly (no server, no cache).
-fn direct_reference(ensemble: &CapEnsemble, netlist: &str) -> Vec<(String, f64)> {
-    let circuit = parse_spice(netlist).unwrap().flatten().unwrap();
-    let preds = ensemble.predict_circuit(&circuit);
-    circuit
-        .nets()
-        .iter()
-        .zip(&preds)
-        .filter_map(|(n, p)| p.map(|v| (n.name.clone(), v)))
-        .collect()
-}
-
-fn response_predictions(response: &Value) -> Vec<(String, f64)> {
-    response["result"]["predictions"]
-        .as_array()
-        .expect("predictions array")
-        .iter()
-        .map(|e| {
-            (
-                e["net"].as_str().expect("net name").to_owned(),
-                e["value"].as_f64().expect("numeric value"),
-            )
-        })
-        .collect()
-}
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Self {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> Value {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response).expect("read");
-        assert!(n > 0, "server dropped the connection after: {line}");
-        serde_json::from_str(&response).expect("response is JSON")
-    }
+    let handle = start_gateway(
+        dir,
+        GatewayConfig {
+            shards: 1,
+            service: config,
+            ..GatewayConfig::default()
+        },
+    );
+    (handle.services()[0].clone(), handle)
 }
 
 #[test]
 fn concurrent_clients_mixed_traffic() {
-    let (dir, ensemble) = build_model_dir();
+    let (dir, ensemble) = build_model_dir("it-mixed");
     let (service, handle) = start_server(&dir);
     let addr = handle.addr();
     let expected_a = Arc::new(direct_reference(&ensemble, NETLIST_A));
@@ -318,7 +234,7 @@ fn concurrent_clients_mixed_traffic() {
 
 #[test]
 fn hot_reload_swaps_registry() {
-    let (dir, _ensemble) = build_model_dir();
+    let (dir, _ensemble) = build_model_dir("it-reload");
     let (service, handle) = start_server(&dir);
     let mut c = Client::connect(handle.addr());
 
@@ -355,12 +271,99 @@ fn hot_reload_swaps_registry() {
 /// `NETLIST_A` with `\n` escaped for embedding in JSON string literals.
 const NL_A_ESCAPED: &str = "mp o i vdd vdd pch\\nmn o i vss vss nch\\n.end\\n";
 
-fn predict_line(id: u64, netlist: &str, model: Option<&str>) -> String {
-    let escaped = netlist.replace('\n', "\\n");
-    match model {
-        Some(m) => {
-            format!(r#"{{"op": "predict", "id": {id}, "model": "{m}", "netlist": "{escaped}"}}"#)
-        }
-        None => format!(r#"{{"op": "predict", "id": {id}, "netlist": "{escaped}"}}"#),
-    }
+/// A saved CAP range member with `edit` applied to its artifact text.
+fn artifact(max_v: f64, edit: impl FnOnce(&mut SavedModel)) -> String {
+    let mut saved = SavedModel::from_model(&train_cap_model(max_v));
+    edit(&mut saved);
+    saved.to_json()
+}
+
+/// An int8-pinned artifact whose first layer weight does not fit an
+/// f32: it loads as +inf, which int8 packing refuses. (A NaN weight
+/// cannot reach disk: the JSON writer emits `null` for it, which then
+/// fails to parse.)
+fn non_finite_int8_artifact() -> String {
+    const MARKER: f32 = 12345.5;
+    let json = artifact(100e-15, |saved| {
+        saved.precision = Some("int8".into());
+        let layer = saved
+            .params
+            .iter_mut()
+            .find(|(name, ..)| name == "layer0.w")
+            .expect("GCN layer weight");
+        layer.3[0] = MARKER;
+    });
+    assert_eq!(json.matches("12345.5").count(), 1);
+    json.replace("12345.5", "1e39")
+}
+
+fn temp_model_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("paragraph-it-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn registry_rejects_an_f16_pinned_artifact() {
+    let dir = temp_model_dir("f16");
+    let json = artifact(1e-15, |saved| saved.precision = Some("f16".into()));
+    std::fs::write(dir.join("cap_f16.json"), json).unwrap();
+    let err = ModelRegistry::open(&dir).unwrap_err().to_string();
+    assert!(err.contains("cap_f16.json"), "{err}");
+    assert!(err.contains("unknown precision 'f16'"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn registry_rejects_a_model_that_does_not_compile_at_open() {
+    let dir = temp_model_dir("nocompile");
+    std::fs::write(dir.join("cap_bad.json"), non_finite_int8_artifact()).unwrap();
+    let err = ModelRegistry::open(&dir).unwrap_err().to_string();
+    assert!(
+        err.contains("cap_bad.json"),
+        "error must name the file: {err}"
+    );
+    assert!(
+        err.contains("cannot pack weights as int8") && err.contains("non-finite"),
+        "error must give the compile reason: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reload_rejects_a_model_that_does_not_compile_and_keeps_serving() {
+    let (dir, ensemble) = build_model_dir("it-nocompile");
+    let (service, handle) = start_server(&dir);
+    let mut c = Client::connect(handle.addr());
+    let before = c.roundtrip(&predict_line(1, NETLIST_A, None));
+    assert_eq!(before["ok"].as_bool(), Some(true), "{before:?}");
+
+    std::fs::write(dir.join("cap_bad.json"), non_finite_int8_artifact()).unwrap();
+    let r = c.roundtrip(r#"{"op": "reload", "id": 2}"#);
+    assert_eq!(r["ok"].as_bool(), Some(false), "{r:?}");
+    let message = r["error"]["message"].as_str().unwrap();
+    assert!(
+        message.contains("cap_bad.json") && message.contains("non-finite"),
+        "{message}"
+    );
+    assert_eq!(service.registry().current().models.len(), 2);
+
+    // The old snapshot keeps serving: a fresh netlist (a cache miss)
+    // runs the old ensemble bit for bit, and the warm one is unchanged.
+    let fresh = c.roundtrip(&predict_line(3, NETLIST_B, None));
+    assert_eq!(fresh["cached"].as_bool(), Some(false), "{fresh:?}");
+    assert_eq!(
+        response_predictions(&fresh),
+        direct_reference(&ensemble, NETLIST_B)
+    );
+    let again = c.roundtrip(&predict_line(4, NETLIST_A, None));
+    assert_eq!(again["result"], before["result"]);
+    assert_eq!(
+        response_predictions(&again),
+        direct_reference(&ensemble, NETLIST_A)
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

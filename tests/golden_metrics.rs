@@ -12,7 +12,10 @@
 //! ```
 
 use paragraph::prelude::*;
-use paragraph::{ExecutorMode, Precision};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use paragraph::Precision;
 use paragraph_layout::LayoutConfig;
 use paragraph_netlist::parse_spice;
 use serde_json::{json, Value};
@@ -22,13 +25,11 @@ use serde_json::{json, Value};
 /// libm differences.
 const REL_TOL: f64 = 1e-4;
 
-/// Pinned-golden tolerances for the reduced-precision executor paths.
-/// These runs are just as deterministic as the f32 one on a single
-/// platform, but quantization amplifies cross-platform libm slack, so
-/// the pins are looser — and they double as the accuracy contract:
-/// int8 metrics may not drift more than 1e-2 relative from their pinned
-/// values, f16 no more than 1e-3.
-const F16_REL_TOL: f64 = 1e-3;
+/// Pinned-golden tolerance for the int8 executor path. The run is just
+/// as deterministic as the f32 one on a single platform, but
+/// quantization amplifies cross-platform libm slack, so the pin is
+/// looser — and it doubles as the accuracy contract: int8 metrics may
+/// not drift more than 1e-2 relative from their pinned values.
 const INT8_REL_TOL: f64 = 1e-2;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.json");
@@ -78,16 +79,13 @@ fn golden_run() -> Value {
         // clone made after evaluation would keep serving f32.
         model.precision = Some(Precision::F32);
         let mut quant = serde_json::Map::new();
-        for (key, precision) in [("f16", Precision::F16), ("int8", Precision::Int8)] {
-            let mut qm = model.clone();
-            qm.executor = ExecutorMode::On;
-            qm.precision = Some(precision);
-            let qs = evaluate_model(&qm, &test, None).summary();
-            quant.insert(
-                key.to_owned(),
-                json!({ "r2": qs.r2, "mae": qs.mae, "mape": qs.mape }),
-            );
-        }
+        let mut qm = model.clone();
+        qm.precision = Some(Precision::Int8);
+        let qs = evaluate_model(&qm, &test, None).summary();
+        quant.insert(
+            "int8".to_owned(),
+            json!({ "r2": qs.r2, "mae": qs.mae, "mape": qs.mape }),
+        );
         let s = evaluate_model(&model, &test, None).summary();
         targets.insert(
             target.name(),
@@ -119,11 +117,31 @@ fn assert_close(name: &str, actual: f64, golden: f64) {
     assert_close_tol(name, actual, golden, REL_TOL);
 }
 
-/// The compiled tape-free executor must reproduce the tape's circuit
-/// predictions bit-for-bit on a trained model — same contract the
+/// The compiled tape-free executor behind `predict_circuit` must
+/// reproduce the autograd tape's forward (`gnn().predict`, the parity
+/// oracle) bit-for-bit on a trained model — same contract the
 /// `paragraph-exec` parity suite pins on raw graphs, here checked
-/// through the full `predict_circuit` pipeline (graph build, feature
-/// normalisation, unscaling) so serving can switch paths freely.
+/// through the full circuit pipeline (graph build, feature
+/// normalisation, unscaling).
+/// Per-net CAP predictions from the tape forward: the same graph build,
+/// normalisation and unscaling as `predict_circuit`, with the forward
+/// pass on `GnnModel::predict` instead of the compiled executor.
+fn tape_reference(model: &TargetModel, circuit: &paragraph_netlist::Circuit) -> Vec<Option<f64>> {
+    let mut cg = build_graph(circuit);
+    cg.normalize(&model.norm);
+    let nodes = cg.net_nodes();
+    let scores = model.gnn().predict(&cg.graph, &Arc::new(nodes.clone()));
+    let by_node: HashMap<u32, f64> = nodes
+        .into_iter()
+        .zip(scores)
+        .map(|(n, s)| (n, model.target.unscale_with(model.max_value, s)))
+        .collect();
+    cg.net_node
+        .iter()
+        .map(|n| n.and_then(|node| by_node.get(&node).copied()))
+        .collect()
+}
+
 #[test]
 fn executor_path_is_bitwise_identical_to_tape() {
     let mut train = dataset(4, 11);
@@ -135,18 +153,14 @@ fn executor_path_is_bitwise_identical_to_tape() {
         let mut fit = FitConfig::quick(kind);
         fit.epochs = 4;
         fit.seed = 7;
-        let (model, _) = TargetModel::train(&train, Target::Cap, None, fit, &norm);
-        let mut tape_model = model.clone();
-        tape_model.executor = ExecutorMode::Off;
-        let mut exec_model = model;
-        exec_model.executor = ExecutorMode::On;
+        let (mut model, _) = TargetModel::train(&train, Target::Cap, None, fit, &norm);
         // The bitwise contract only holds at f32; pin it so a
         // process-wide PARAGRAPH_PRECISION override (the quantized CI
         // job) cannot reroute this test through a quantized path.
-        exec_model.precision = Some(Precision::F32);
+        model.precision = Some(Precision::F32);
         for pc in &test {
-            let tape = tape_model.predict_circuit(&pc.circuit);
-            let exec = exec_model.predict_circuit(&pc.circuit);
+            let exec = model.predict_circuit(&pc.circuit);
+            let tape = tape_reference(&model, &pc.circuit);
             assert_eq!(tape.len(), exec.len());
             for (i, (t, e)) in tape.iter().zip(&exec).enumerate() {
                 match (t, e) {
@@ -203,20 +217,18 @@ fn pinned_seed_metrics_match_golden() {
             );
         }
         // Quantized-path pins: same metrics, looser tolerance (the
-        // drift contract for the int8/f16 executor tiers).
-        for (tier, tol) in [("f16", F16_REL_TOL), ("int8", INT8_REL_TOL)] {
-            let gq = g["quantized"][tier]
-                .as_object()
-                .unwrap_or_else(|| panic!("{name}: golden missing quantized.{tier}"));
-            let aq = &a["quantized"][tier];
-            for metric in ["r2", "mae", "mape"] {
-                assert_close_tol(
-                    &format!("{name}.quantized.{tier}.{metric}"),
-                    aq[metric].as_f64().unwrap(),
-                    gq.get(metric).and_then(Value::as_f64).unwrap(),
-                    tol,
-                );
-            }
+        // drift contract for the int8 executor tier).
+        let gq = g["quantized"]["int8"]
+            .as_object()
+            .unwrap_or_else(|| panic!("{name}: golden missing quantized.int8"));
+        let aq = &a["quantized"]["int8"];
+        for metric in ["r2", "mae", "mape"] {
+            assert_close_tol(
+                &format!("{name}.quantized.int8.{metric}"),
+                aq[metric].as_f64().unwrap(),
+                gq.get(metric).and_then(Value::as_f64).unwrap(),
+                INT8_REL_TOL,
+            );
         }
     }
 }
