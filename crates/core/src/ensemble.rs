@@ -36,6 +36,11 @@ impl std::error::Error for EnsembleError {}
 pub struct CapEnsemble {
     /// Member models, sorted by ascending `max_v`.
     models: Vec<TargetModel>,
+    /// Per member, the index of its feature normalisation among the
+    /// members' distinct ones (in first-appearance order). Members that
+    /// share a norm share one normalised graph — and its plan — per
+    /// circuit.
+    norm_of: Vec<usize>,
 }
 
 impl CapEnsemble {
@@ -91,7 +96,20 @@ impl CapEnsemble {
                 )));
             }
         }
-        Ok(Self { models })
+        let mut distinct: Vec<&crate::FeatureNorm> = Vec::new();
+        let norm_of = models
+            .iter()
+            .map(|m| {
+                distinct
+                    .iter()
+                    .position(|&n| *n == m.norm)
+                    .unwrap_or_else(|| {
+                        distinct.push(&m.norm);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        Ok(Self { models, norm_of })
     }
 
     /// Trains the full Algorithm-2 ensemble — one CAP model per entry of
@@ -183,14 +201,38 @@ impl CapEnsemble {
         self.predict_graph(&pc.circuit, &pc.graph)
     }
 
-    /// Predicts every net's capacitance of a fresh schematic. Each member
-    /// builds and normalises its own graph (members may carry different
-    /// feature normalisations), then Algorithm 2 selects per net.
+    /// `circuit`'s graph once per distinct member normalisation, indexed
+    /// like the values of `norm_of`. Normalising replaces every
+    /// feature from the raw rows, so each graph equals the one a member
+    /// would build for itself.
+    fn normalized_graphs(&self, circuit: &Circuit) -> Vec<CircuitGraph> {
+        let mut graphs: Vec<CircuitGraph> = Vec::new();
+        for (m, &k) in self.models.iter().zip(&self.norm_of) {
+            if k == graphs.len() {
+                graphs.push(match graphs.first() {
+                    None => m.normalized_graph(circuit),
+                    Some(first) => {
+                        let mut cg = first.clone();
+                        cg.normalize(&m.norm);
+                        cg
+                    }
+                });
+            }
+        }
+        graphs
+    }
+
+    /// Predicts every net's capacitance of a fresh schematic. The graph
+    /// is built once per distinct member normalisation (members trained
+    /// together share one), every member predicts on its graph, then
+    /// Algorithm 2 selects per net.
     pub fn predict_circuit(&self, circuit: &Circuit) -> Vec<Option<f64>> {
+        let graphs = self.normalized_graphs(circuit);
         let per_model: Vec<Vec<Option<f64>>> = self
             .models
             .iter()
-            .map(|m| m.predict_circuit(circuit))
+            .zip(&self.norm_of)
+            .map(|(m, &k)| m.predict_graph(circuit, &graphs[k]))
             .collect();
         (0..circuit.num_nets())
             .map(|net| {
@@ -201,25 +243,28 @@ impl CapEnsemble {
     }
 
     /// [`CapEnsemble::predict_circuit`] with a per-stage wall-clock
-    /// breakdown summed over members, plus how many nets each member's
-    /// prediction won (Algorithm-2 selection counts, ascending `max_v`
-    /// order). Predictions are bitwise identical to the unprofiled
-    /// path.
+    /// breakdown — the shared graph builds once, the inference summed
+    /// over members — plus how many nets each member's prediction won
+    /// (Algorithm-2 selection counts, ascending `max_v` order).
+    /// Predictions are bitwise identical to the unprofiled path.
     pub fn predict_circuit_profiled(
         &self,
         circuit: &Circuit,
     ) -> (Vec<Option<f64>>, crate::PredictProfile, Vec<u64>) {
-        let mut profile = crate::PredictProfile::default();
+        let start = std::time::Instant::now();
+        let graphs = self.normalized_graphs(circuit);
+        let graph_build_us = start.elapsed().as_secs_f64() * 1e6;
+        let infer = std::time::Instant::now();
         let per_model: Vec<Vec<Option<f64>>> = self
             .models
             .iter()
-            .map(|m| {
-                let (preds, p) = m.predict_circuit_profiled(circuit);
-                profile.graph_build_us += p.graph_build_us;
-                profile.inference_us += p.inference_us;
-                preds
-            })
+            .zip(&self.norm_of)
+            .map(|(m, &k)| m.predict_graph(circuit, &graphs[k]))
             .collect();
+        let profile = crate::PredictProfile {
+            graph_build_us,
+            inference_us: infer.elapsed().as_secs_f64() * 1e6,
+        };
         let mut selected = vec![0u64; self.models.len()];
         let preds = (0..circuit.num_nets())
             .map(|net| {
@@ -235,20 +280,33 @@ impl CapEnsemble {
     }
 
     /// Predicts every net's capacitance for several fresh schematics at
-    /// once. Each member runs one forward pass over the circuits'
-    /// block-diagonal [`paragraph_gnn::GraphBatch`] union (via
-    /// [`TargetModel::predict_circuits`]) instead of one pass per
-    /// circuit; Algorithm 2 then selects per net, per circuit. The result
-    /// equals calling [`CapEnsemble::predict_circuit`] on each circuit.
+    /// once. Graphs are built once per circuit and distinct member
+    /// normalisation; each member then runs one forward pass over the
+    /// circuits' block-diagonal [`paragraph_gnn::GraphBatch`] union
+    /// instead of one pass per circuit; Algorithm 2 then selects per net,
+    /// per circuit. The result equals calling
+    /// [`CapEnsemble::predict_circuit`] on each circuit.
     pub fn predict_circuits(&self, circuits: &[&Circuit]) -> Vec<Vec<Option<f64>>> {
         if circuits.is_empty() {
             return Vec::new();
+        }
+        let _span = paragraph_obs::span!("predict_circuits", circuits = circuits.len());
+        // per_norm[k][c]: circuit c normalised with distinct norm k.
+        let mut per_norm: Vec<Vec<CircuitGraph>> = Vec::new();
+        for c in circuits {
+            for (k, cg) in self.normalized_graphs(c).into_iter().enumerate() {
+                if k == per_norm.len() {
+                    per_norm.push(Vec::with_capacity(circuits.len()));
+                }
+                per_norm[k].push(cg);
+            }
         }
         // per_model[m][c][net]
         let per_model: Vec<Vec<Vec<Option<f64>>>> = self
             .models
             .iter()
-            .map(|m| m.predict_circuits(circuits))
+            .zip(&self.norm_of)
+            .map(|(m, &k)| m.predict_graphs(circuits, &per_norm[k]))
             .collect();
         circuits
             .iter()
@@ -430,6 +488,76 @@ mod tests {
         let nets_predicted = plain.iter().flatten().count() as u64;
         assert_eq!(selected.iter().sum::<u64>(), nets_predicted);
         assert_eq!(selected.len(), ens.members().len());
+    }
+
+    /// The shared-graph paths must equal every member predicting on a
+    /// graph it built and normalised itself, bit for bit — with one
+    /// shared norm, and with a member whose norm differs.
+    #[test]
+    fn shared_graphs_match_per_member_prediction() {
+        let circuits: Vec<Circuit> = [
+            "mp o i vdd vdd pch nf=2\nmn o i vss vss nch\nr1 o f 10k\n.end\n",
+            "mp1 x a vdd vdd pch\nmn1 x a vss vss nch\nc1 x y 3f\n.end\n",
+        ]
+        .iter()
+        .map(|s| parse_spice(s).unwrap().flatten().unwrap())
+        .collect();
+        let refs: Vec<&Circuit> = circuits.iter().collect();
+        let bits = |preds: &[Option<f64>]| -> Vec<Option<u64>> {
+            preds.iter().map(|p| p.map(f64::to_bits)).collect()
+        };
+        let check = |ens: &CapEnsemble| {
+            for (c, batched) in circuits.iter().zip(ens.predict_circuits(&refs)) {
+                let per_member: Vec<Vec<Option<f64>>> =
+                    ens.members().iter().map(|m| m.predict_circuit(c)).collect();
+                let want: Vec<Option<f64>> = (0..c.num_nets())
+                    .map(|net| {
+                        let preds: Option<Vec<f64>> = per_member.iter().map(|pm| pm[net]).collect();
+                        preds.map(|p| ens.select(&p))
+                    })
+                    .collect();
+                assert_eq!(bits(&ens.predict_circuit(c)), bits(&want));
+                assert_eq!(bits(&ens.predict_circuit_profiled(c).0), bits(&want));
+                assert_eq!(bits(&batched), bits(&want));
+            }
+        };
+
+        let shared = CapEnsemble::new(tiny_models(&[1e-15, 10e-15, 100e-15]));
+        assert_eq!(shared.norm_of, vec![0, 0, 0]);
+        check(&shared);
+
+        let mut models = tiny_models(&[1e-15, 10e-15, 100e-15]);
+        let net = crate::NodeType::Net.id() as usize;
+        models[1].norm.mean[net][0] += 0.5;
+        models[1].norm.std[net][0] *= 2.0;
+        let mixed = CapEnsemble::new(models);
+        assert_eq!(mixed.norm_of, vec![0, 1, 0]);
+        check(&mixed);
+        // Each member sees exactly the features it would normalise itself.
+        let feature_bits = |g: &CircuitGraph, t: u16| -> Vec<u32> {
+            g.graph
+                .features(t)
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let graphs = mixed.normalized_graphs(&circuits[0]);
+        assert_eq!(graphs.len(), 2);
+        for (m, &k) in mixed.members().iter().zip(&mixed.norm_of) {
+            let own = m.normalized_graph(&circuits[0]);
+            for t in 0..own.graph.num_node_types() as u16 {
+                assert_eq!(
+                    feature_bits(&graphs[k], t),
+                    feature_bits(&own, t),
+                    "node type {t}"
+                );
+            }
+        }
+        assert_ne!(
+            feature_bits(&graphs[0], net as u16),
+            feature_bits(&graphs[1], net as u16)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! connections to supply and ground rails are dropped.
 
 use paragraph_gnn::{GraphSchema, HeteroGraph};
-use paragraph_netlist::{Circuit, DeviceId, DeviceKind, NetClass, NetId, Terminal};
+use paragraph_netlist::{Circuit, Device, DeviceId, DeviceKind, NetClass, NetId, Terminal};
 use paragraph_tensor::Tensor;
 
 use crate::features::{device_features, net_features, FeatureNorm, NodeType};
@@ -190,6 +190,20 @@ pub fn raw_feature_rows(circuit: &Circuit) -> Vec<Vec<Vec<f32>>> {
         raw[NodeType::of_device(dev.kind).id() as usize].push(device_features(dev));
     }
     raw
+}
+
+/// The first device whose row in `rows` — [`raw_feature_rows`] of
+/// `circuit` — holds a non-finite value. Every parameter parses to a
+/// finite number, but an absurd one (`l=1e308`) still overflows the
+/// log-scaled features; such a row must never reach the forward pass.
+pub fn non_finite_device<'c>(circuit: &'c Circuit, rows: &[Vec<Vec<f32>>]) -> Option<&'c Device> {
+    let mut next = vec![0_usize; rows.len()];
+    circuit.devices().iter().find(|dev| {
+        let t = NodeType::of_device(dev.kind).id() as usize;
+        let row = &rows[t][next[t]];
+        next[t] += 1;
+        row.iter().any(|v| !v.is_finite())
+    })
 }
 
 /// Builds the heterogeneous graph of a flat circuit (paper §II-B).

@@ -68,8 +68,8 @@ pub use baseline::BaselineStats;
 pub use ensemble::{CapEnsemble, EnsembleError, PAPER_MAX_V};
 pub use features::{device_features, net_features, FeatureNorm, NodeType};
 pub use graphbuild::{
-    build_graph, circuit_schema, edge_type, edge_type_name, raw_feature_rows, CircuitGraph,
-    TerminalClass, EDGE_CLASSES, NUM_EDGE_TYPES,
+    build_graph, circuit_schema, edge_type, edge_type_name, non_finite_device, raw_feature_rows,
+    CircuitGraph, TerminalClass, EDGE_CLASSES, NUM_EDGE_TYPES,
 };
 pub use paragraph_exec::{CompileError, Precision};
 pub use persist::{LoadModelError, SavedModel};

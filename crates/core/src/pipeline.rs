@@ -481,9 +481,14 @@ impl TargetModel {
     /// result is indexed by net id (`None` on rails); for device targets
     /// by device id (`None` on non-MOSFETs).
     pub fn predict_circuit(&self, circuit: &Circuit) -> Vec<Option<f64>> {
+        self.predict_graph(circuit, &self.normalized_graph(circuit))
+    }
+
+    /// `circuit`'s graph, normalised with this model's feature norm.
+    pub(crate) fn normalized_graph(&self, circuit: &Circuit) -> CircuitGraph {
         let mut cg = build_graph(circuit);
         cg.normalize(&self.norm);
-        self.predict_graph(circuit, &cg)
+        cg
     }
 
     /// [`TargetModel::predict_circuit`] with a per-stage wall-clock
@@ -494,8 +499,7 @@ impl TargetModel {
         circuit: &Circuit,
     ) -> (Vec<Option<f64>>, PredictProfile) {
         let start = std::time::Instant::now();
-        let mut cg = build_graph(circuit);
-        cg.normalize(&self.norm);
+        let cg = self.normalized_graph(circuit);
         let graph_build_us = start.elapsed().as_secs_f64() * 1e6;
         let infer = std::time::Instant::now();
         let preds = self.predict_graph(circuit, &cg);
@@ -533,18 +537,26 @@ impl TargetModel {
             return vec![self.predict_circuit(circuits[0])];
         }
         let _span = paragraph_obs::span!("predict_circuits", circuits = circuits.len());
-        let cgs: Vec<CircuitGraph> = circuits
-            .iter()
-            .map(|c| {
-                let mut cg = build_graph(c);
-                cg.normalize(&self.norm);
-                cg
-            })
-            .collect();
+        let cgs: Vec<CircuitGraph> = circuits.iter().map(|c| self.normalized_graph(c)).collect();
+        self.predict_graphs(circuits, &cgs)
+    }
+
+    /// [`TargetModel::predict_circuits`] over prebuilt graphs, `cgs[i]`
+    /// being `circuits[i]`'s graph normalised with this model's norm:
+    /// one forward pass over their block-diagonal union (or the
+    /// single-graph path for one circuit).
+    pub(crate) fn predict_graphs(
+        &self,
+        circuits: &[&Circuit],
+        cgs: &[CircuitGraph],
+    ) -> Vec<Vec<Option<f64>>> {
+        if let ([circuit], [cg]) = (circuits, cgs) {
+            return vec![self.predict_graph(circuit, cg)];
+        }
         let graphs: Vec<&paragraph_gnn::HeteroGraph> = cgs.iter().map(|cg| &cg.graph).collect();
         let per_circuit: Vec<Vec<u32>> = circuits
             .iter()
-            .zip(&cgs)
+            .zip(cgs)
             .map(|(c, cg)| self.query_nodes(c, cg))
             .collect();
         let total: usize = per_circuit.iter().map(Vec::len).sum();
@@ -556,7 +568,7 @@ impl TargetModel {
         let mut off = 0;
         circuits
             .iter()
-            .zip(&cgs)
+            .zip(cgs)
             .zip(per_circuit)
             .map(|((c, cg), nodes)| {
                 let pairs: Vec<(u32, f64)> = nodes

@@ -23,6 +23,13 @@
 //! accumulates products exactly in `i32` through the 16-lane AVX2
 //! `madd` GEMM.
 //!
+//! Attention heads work only on the rows their edge type touches: the
+//! projection, the score halves and the aggregation visit the plan's
+//! [`paragraph_tensor::CsrPlan::touched_rows`] and
+//! [`paragraph_tensor::CsrPlan::dst_rows`], through the same per-row
+//! kernels, so skipping the other rows changes no bit (see
+//! `docs/performance.md`, "Edge-type row lists").
+//!
 //! Buffers live in an [`Arena`]: a set of grow-only scratch vectors sized
 //! on first use for a (model, graph-shape) pair and reused verbatim on
 //! subsequent requests — zero steady-state heap allocation (asserted by
@@ -784,6 +791,11 @@ impl CompiledModel {
     /// input's magnitude into `calib` when calibrating. The f32 arm is
     /// exactly [`kernels::matmul`] — the bitwise-parity path.
     ///
+    /// With `rows`, only those rows of `out` are computed (each from the
+    /// same row of `a`, bit-identical to the dense product's row) and the
+    /// rest are left as they were. Scales and calibration still see all
+    /// of `a`, so a row list never changes a quantized value.
+    ///
     /// `reuse` asserts that `a` is byte-identical to the last `reuse`
     /// call at the same `site` (nothing wrote the buffer in between),
     /// allowing the int8 arm to skip re-quantization. The quantized
@@ -796,6 +808,7 @@ impl CompiledModel {
         site: usize,
         a: &[f32],
         out: &mut [f32],
+        rows: Option<&[u32]>,
         m: usize,
         k: usize,
         n: usize,
@@ -807,7 +820,10 @@ impl CompiledModel {
             sites[site] = sites[site].max(quant::max_abs(a));
         }
         match w {
-            Packed::F32(t) => kernels::matmul(a, t.as_slice(), out, m, k, n),
+            Packed::F32(t) => match rows {
+                Some(rows) => kernels::matmul_rows(a, t.as_slice(), out, rows, m, k, n),
+                None => kernels::matmul(a, t.as_slice(), out, m, k, n),
+            },
             Packed::Int8(q) => {
                 let scale = self.act_scale(site, a);
                 let need = m * k;
@@ -817,7 +833,12 @@ impl CompiledModel {
                     qa.site = if reuse { site } else { usize::MAX };
                     qa.len = need;
                 }
-                kernels::matmul_q8_prepared(&qa.prep, scale, q, out, n);
+                match rows {
+                    Some(rows) => {
+                        kernels::matmul_q8_prepared_rows(&qa.prep, scale, q, out, rows, n)
+                    }
+                    None => kernels::matmul_q8_prepared(&qa.prep, scale, q, out, n),
+                }
             }
         }
     }
@@ -869,6 +890,7 @@ impl CompiledModel {
                 self.site_feat(t),
                 x.as_slice(),
                 proj,
+                None,
                 idx.len(),
                 x.cols(),
                 f,
@@ -894,6 +916,7 @@ impl CompiledModel {
                         self.site_agg(l),
                         &arena.agg[..n * f],
                         h2,
+                        None,
                         n,
                         f,
                         f,
@@ -919,6 +942,7 @@ impl CompiledModel {
                         self.site_cat(l),
                         &arena.cat[..n * 2 * f],
                         h2,
+                        None,
                         n,
                         2 * f,
                         f,
@@ -939,6 +963,7 @@ impl CompiledModel {
                         self.site_h(l),
                         &arena.h[..n * f],
                         h2,
+                        None,
                         n,
                         f,
                         f,
@@ -960,6 +985,7 @@ impl CompiledModel {
                             self.site_agg(l),
                             &arena.agg[..n * f],
                             t2,
+                            None,
                             n,
                             f,
                             f,
@@ -978,30 +1004,9 @@ impl CompiledModel {
                 GnnKind::Gat => {
                     let tp = plan.union();
                     let fh = f / self.heads;
-                    ensure(&mut arena.h2, n * f);
-                    if self.heads == 1 {
-                        // Single-head fast path: the concat is the
-                        // identity, so the head output buffer simply
-                        // becomes the layer output (pointer swap, no
-                        // copy).
-                        self.attention_head(
-                            &layer.w_type[0],
-                            Some(&layer.a_type[0]),
-                            tp,
-                            n,
-                            f,
-                            self.site_h(l),
-                            arena,
-                            false,
-                            calib.as_deref_mut(),
-                        );
-                        std::mem::swap(&mut arena.h2, &mut arena.hh);
-                        let h2 = &mut arena.h2[..n * f];
-                        kernels::add_bias(h2, layer.b.as_slice());
-                        kernels::relu(h2);
-                        std::mem::swap(&mut arena.h, &mut arena.h2);
-                        continue;
-                    }
+                    // Nodes without incoming edges receive no message:
+                    // their rows stay zero, like the tape's fresh output.
+                    ensure(&mut arena.h2, n * f).fill(0.0);
                     for k in 0..self.heads {
                         self.attention_head(
                             &layer.w_type[k],
@@ -1017,10 +1022,7 @@ impl CompiledModel {
                         // Concatenate heads: head k owns columns
                         // [k*fh, (k+1)*fh), copied exactly like the
                         // tape's concat_cols.
-                        for i in 0..n {
-                            arena.h2[i * f + k * fh..i * f + (k + 1) * fh]
-                                .copy_from_slice(&arena.hh[i * fh..(i + 1) * fh]);
-                        }
+                        copy_head(&arena.hh, &mut arena.h2, tp.dst_rows(), f, k, fh);
                     }
                     let h2 = &mut arena.h2[..n * f];
                     kernels::add_bias(h2, layer.b.as_slice());
@@ -1068,11 +1070,7 @@ impl CompiledModel {
                                 calib.as_deref_mut(),
                             );
                             if !fuse {
-                                for (o, &v) in
-                                    arena.agg[..n * f].iter_mut().zip(arena.hh[..n * f].iter())
-                                {
-                                    *o += v;
-                                }
+                                add_rows(&arena.hh, &mut arena.agg, tp.dst_rows(), f);
                             }
                             continue;
                         }
@@ -1095,15 +1093,11 @@ impl CompiledModel {
                                 false,
                                 calib.as_deref_mut(),
                             );
-                            for i in 0..n {
-                                arena.ht[i * f + k * fh..i * f + (k + 1) * fh]
-                                    .copy_from_slice(&arena.hh[i * fh..(i + 1) * fh]);
-                            }
+                            copy_head(&arena.hh, &mut arena.ht, tp.dst_rows(), f, k, fh);
                         }
-                        // Algorithm 1 line 9: sum over edge types.
-                        for (o, &v) in arena.agg[..n * f].iter_mut().zip(arena.ht[..n * f].iter()) {
-                            *o += v;
-                        }
+                        // Algorithm 1 line 9: sum over edge types. Rows
+                        // this type sends nothing to would add zero.
+                        add_rows(&arena.ht, &mut arena.agg, tp.dst_rows(), f);
                     }
                     // Line 10: W (h ‖ agg) + b — or a plain sum under the
                     // concat ablation.
@@ -1120,6 +1114,7 @@ impl CompiledModel {
                             self.site_cat(l),
                             &arena.sum[..n * f],
                             h2,
+                            None,
                             n,
                             f,
                             f,
@@ -1135,6 +1130,7 @@ impl CompiledModel {
                             self.site_cat(l),
                             &arena.cat[..n * 2 * f],
                             h2,
+                            None,
                             n,
                             2 * f,
                             f,
@@ -1164,6 +1160,7 @@ impl CompiledModel {
                 self.site_g(s),
                 &arena.g1[..m * width],
                 g2,
+                None,
                 m,
                 width,
                 next,
@@ -1187,11 +1184,18 @@ impl CompiledModel {
         }
     }
 
-    /// One attention (or ablated-mean) head: `z = h W`, then either the
-    /// fused attend pipeline or a plain segment mean, into `arena.hh` —
-    /// or, with `accum_into_agg` (reduced precision + real attention
-    /// only), accumulated straight into `arena.agg`, skipping the `hh`
-    /// zero-fill, store and re-read the staging buffer would cost.
+    /// One attention (or ablated-mean) head over the rows `tp` touches:
+    /// `z = h W` for the plan's touched rows only, then either the fused
+    /// attend pipeline or a plain segment mean into the destination rows
+    /// of `arena.hh` — or, with `accum_into_agg` (reduced precision +
+    /// real attention only), accumulated straight into those rows of
+    /// `arena.agg`, skipping the `hh` staging buffer.
+    ///
+    /// Rows off the plan's lists are neither computed nor written: every
+    /// kernel here is per-row, and untouched rows would only feed values
+    /// nothing reads (or, for `hh`, zeros the caller never adds). `z`
+    /// and `hh` therefore hold stale data outside those rows, and callers
+    /// read `hh` only at [`paragraph_tensor::CsrPlan::dst_rows`].
     #[allow(clippy::too_many_arguments)]
     fn attention_head(
         &self,
@@ -1216,6 +1220,7 @@ impl CompiledModel {
             site,
             &arena.h[..n * f],
             &mut arena.z[..n * fh],
+            Some(tp.touched_rows()),
             n,
             f,
             fh,
@@ -1228,77 +1233,53 @@ impl CompiledModel {
             "the fused-accumulate path changes float add order; \
              the bitwise f32 contract forbids it"
         );
-        match a {
-            Some(a) => {
-                let e = tp.num_edges();
-                ensure(&mut arena.zd, n);
-                ensure(&mut arena.zs, n);
-                ensure(&mut arena.raw, e);
-                ensure(&mut arena.alpha, e);
-                if self.precision == Precision::F32 {
-                    kernels::attend_scores(
-                        &arena.z[..n * fh],
-                        fh,
-                        a.as_slice(),
-                        tp,
-                        self.slope,
-                        &mut arena.zd[..n],
-                        &mut arena.zs[..n],
-                        &mut arena.raw[..e],
-                        &mut arena.alpha[..e],
-                    );
-                } else {
-                    kernels::attend_scores_fast(
-                        &arena.z[..n * fh],
-                        fh,
-                        a.as_slice(),
-                        tp,
-                        self.slope,
-                        &mut arena.zd[..n],
-                        &mut arena.zs[..n],
-                        &mut arena.raw[..e],
-                        &mut arena.alpha[..e],
-                    );
-                }
-                if accum_into_agg {
-                    // attend_apply accumulates into its output, so
-                    // handing it the edge-type sum directly both skips
-                    // the hh staging round-trip and performs the
-                    // `agg += head` add for free.
-                    kernels::attend_apply_fast(
-                        &arena.z[..n * fh],
-                        fh,
-                        tp,
-                        &arena.alpha[..e],
-                        &mut arena.agg[..n * fh],
-                    );
-                } else if self.precision == Precision::F32 {
-                    let hh = ensure(&mut arena.hh, n * fh);
-                    hh.fill(0.0);
-                    kernels::attend_apply(
-                        &arena.z[..n * fh],
-                        fh,
-                        tp,
-                        &arena.alpha[..e],
-                        &mut arena.hh[..n * fh],
-                    );
-                } else {
-                    let hh = ensure(&mut arena.hh, n * fh);
-                    hh.fill(0.0);
-                    kernels::attend_apply_fast(
-                        &arena.z[..n * fh],
-                        fh,
-                        tp,
-                        &arena.alpha[..e],
-                        &mut arena.hh[..n * fh],
-                    );
-                }
+        let z = &arena.z[..n * fh];
+        let out = if accum_into_agg {
+            // attend_apply accumulates into its output, so handing it
+            // the edge-type sum directly both skips the hh staging
+            // round-trip and performs the `agg += head` add for free.
+            &mut arena.agg[..n * fh]
+        } else {
+            let hh = ensure(&mut arena.hh, n * fh);
+            for &d in tp.dst_rows() {
+                hh[d as usize * fh..(d as usize + 1) * fh].fill(0.0);
             }
-            None => {
-                let hh = ensure(&mut arena.hh, n * fh);
-                hh.fill(0.0);
-                self.spmm_mean(&arena.z[..n * fh], fh, tp, &mut arena.hh[..n * fh]);
-            }
+            hh
+        };
+        let Some(a) = a else {
+            self.spmm_mean(z, fh, tp, out);
+            return;
+        };
+        let e = tp.num_edges();
+        let zd = ensure(&mut arena.zd, n);
+        let zs = ensure(&mut arena.zs, n);
+        let raw = ensure(&mut arena.raw, e);
+        let alpha = ensure(&mut arena.alpha, e);
+        if self.precision == Precision::F32 {
+            kernels::attend_scores(z, fh, a.as_slice(), tp, self.slope, zd, zs, raw, alpha);
+            kernels::attend_apply(z, fh, tp, alpha, out);
+        } else {
+            kernels::attend_scores_fast(z, fh, a.as_slice(), tp, self.slope, zd, zs, raw, alpha);
+            kernels::attend_apply_fast(z, fh, tp, alpha, out);
         }
+    }
+}
+
+/// `dst[d] += src[d]` over `width`-wide rows, for each listed row.
+fn add_rows(src: &[f32], dst: &mut [f32], rows: &[u32], width: usize) {
+    for &d in rows {
+        let r = d as usize * width..(d as usize + 1) * width;
+        for (o, &v) in dst[r.clone()].iter_mut().zip(&src[r]) {
+            *o += v;
+        }
+    }
+}
+
+/// Copies head `k`'s `fh`-wide rows of `hh` into columns
+/// `[k*fh, (k+1)*fh)` of the `f`-wide `out`, for each listed row.
+fn copy_head(hh: &[f32], out: &mut [f32], rows: &[u32], f: usize, k: usize, fh: usize) {
+    for &d in rows {
+        let d = d as usize;
+        out[d * f + k * fh..d * f + (k + 1) * fh].copy_from_slice(&hh[d * fh..(d + 1) * fh]);
     }
 }

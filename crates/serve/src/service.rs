@@ -884,13 +884,11 @@ fn worker_loop(
                 // lands ahead of the submitter's retention decision.
                 let _ctx = job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
                 let _span = paragraph_obs::span!("execute", op = job.request.op.name());
-                catch_unwind(AssertUnwindSafe(|| {
-                    execute(&job.request, registry, cache, debug_ops)
-                }))
+                catch_unwind(AssertUnwindSafe(|| execute(&job.request, debug_ops)))
             };
             let exec_us = exec_started.elapsed().as_secs_f64() * 1e6;
             let mut response = match outcome {
-                Ok(Ok((result, cached))) => ok_response(&id, result, cached),
+                Ok(Ok(result)) => ok_response(&id, result, None),
                 Ok(Err(err)) => error_response(&id, &err),
                 Err(panic) => error_response(
                     &id,
@@ -981,11 +979,25 @@ fn predict_many(
                 continue;
             }
         };
+        // A size that overflows the log-scaled features never reaches
+        // the drift windows, the cache or the forward pass.
+        let rows = paragraph::raw_feature_rows(&circuit);
+        if let Some(device) = paragraph::non_finite_device(&circuit, &rows) {
+            let err = ServeError::new(
+                ErrorCode::InvalidNetlist,
+                format!(
+                    "device '{}': parameters give a non-finite feature (size out of range)",
+                    device.name
+                ),
+            );
+            let _ = job.reply.send(error_response(&id, &err));
+            continue;
+        }
         // Every parsed circuit feeds the drift windows, cache hit or
         // not: the monitor watches traffic, not model invocations. The
         // per-request verdict rides along so the tail sampler can
         // retain OOD requests.
-        let ood = drift.observe(&paragraph::raw_feature_rows(&circuit));
+        let ood = drift.observe(&rows);
         let (key, model) = match snapshot.resolve(job.request.model.as_deref()) {
             Ok(resolved) => resolved,
             Err(m) => {
@@ -1117,6 +1129,16 @@ fn predict_many(
                     Duration::from_secs_f64(inference_us / 1e6),
                 );
                 for (p, preds) in pending.into_iter().zip(per_circuit) {
+                    if preds.iter().flatten().any(|v| !v.is_finite()) {
+                        // Finite features can still drive a model to
+                        // inf/NaN; that answer is never served or cached.
+                        let err = ServeError::new(
+                            ErrorCode::Internal,
+                            format!("model '{key}' produced a non-finite prediction"),
+                        );
+                        let _ = p.job.reply.send(error_response(&p.job.request.id, &err));
+                        continue;
+                    }
                     let ctx_guard = p.job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
                     let response = {
                         let _span =
@@ -1219,27 +1241,20 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-type ExecResult = Result<(Value, Option<bool>), ServeError>;
-
-fn execute(
-    request: &Request,
-    registry: &ModelRegistry,
-    cache: &PredictionCache,
-    debug_ops: bool,
-) -> ExecResult {
+fn execute(request: &Request, debug_ops: bool) -> Result<Value, ServeError> {
     match request.op {
-        Op::Predict => predict(request, registry, cache),
-        Op::Stats => stats(request).map(|v| (v, None)),
-        Op::Erc => erc(request).map(|v| (v, None)),
+        Op::Stats => stats(request),
+        Op::Erc => erc(request),
         Op::DebugPanic if debug_ops => panic!("debug panic requested"),
         Op::DebugPanic => Err(ServeError::new(
             ErrorCode::BadRequest,
             "debug ops are disabled on this service",
         )),
-        // Control-plane ops never reach the queue.
-        Op::Health | Op::Metrics | Op::Reload => Err(ServeError::new(
+        // Control-plane ops never reach the queue; predicts are served
+        // in batches by `predict_many`.
+        Op::Predict | Op::Health | Op::Metrics | Op::Reload => Err(ServeError::new(
             ErrorCode::Internal,
-            "control-plane op routed to a worker",
+            "op routed to the wrong worker path",
         )),
     }
 }
@@ -1255,27 +1270,6 @@ fn required_netlist(request: &Request) -> Result<Circuit, ServeError> {
         .map_err(|e| ServeError::new(ErrorCode::InvalidNetlist, format!("parse error: {e}")))?
         .flatten()
         .map_err(|e| ServeError::new(ErrorCode::InvalidNetlist, format!("flatten error: {e}")))
-}
-
-fn predict(request: &Request, registry: &ModelRegistry, cache: &PredictionCache) -> ExecResult {
-    let circuit = required_netlist(request)?;
-    let snapshot = registry.current();
-    let (key, model) = snapshot
-        .resolve(request.model.as_deref())
-        .map_err(|m| ServeError::new(ErrorCode::UnknownModel, m))?;
-    // Key on the flattened canonical text: hierarchy spelling and
-    // comments don't fragment the cache, electrical changes do.
-    let content_hash = fnv1a(&write_flat_spice(&circuit));
-    if let Some(hit) = cache.get(&key, content_hash) {
-        return Ok(((*hit).clone(), Some(true)));
-    }
-    let preds = match &model {
-        ModelRef::Single(m) => m.predict_circuit(&circuit),
-        ModelRef::Ensemble(e) => e.predict_circuit(&circuit),
-    };
-    let result = render_prediction(&key, &model, &circuit, &preds);
-    cache.put(&key, content_hash, Arc::new(result.clone()));
-    Ok((result, Some(false)))
 }
 
 fn named_predictions<'a>(

@@ -708,6 +708,44 @@ fn debug_endpoints_respond_under_shedding() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `l=1e308` is a finite number, so it parses, but it overflows the
+/// log-scaled length feature to +inf. It once reached the forward pass
+/// and came back `ok: true`; it is now an `invalid_netlist` naming the
+/// device, over HTTP and JSON lines alike, and the connection serves the
+/// next request normally.
+#[test]
+fn absurd_finite_sizes_are_rejected_before_the_forward_pass() {
+    let (dir, _ensemble) = build_model_dir("absurd");
+    let handle = start_gateway(
+        &dir,
+        GatewayConfig {
+            shards: 1,
+            service: test_service_config(),
+            ..GatewayConfig::default()
+        },
+    );
+    let netlist = "mp o i vdd vdd pch l=1e308\nmn o i vss vss nch\n.end\n";
+    let mut http = HttpClient::connect(handle.addr());
+    let mut line = LineClient::connect(handle.addr());
+    let r = http.post_json("/predict", &predict_body(1, netlist));
+    assert_eq!(r.status, 400, "{:?}", r.json());
+    let v = line.roundtrip(&predict_line(2, netlist, None));
+    for envelope in [r.json(), v] {
+        assert_eq!(envelope["ok"].as_bool(), Some(false), "{envelope:?}");
+        assert_eq!(envelope["error"]["code"].as_str(), Some("invalid_netlist"));
+        let message = envelope["error"]["message"].as_str().unwrap();
+        assert!(
+            message.contains("'mp'") && message.contains("non-finite"),
+            "{message}"
+        );
+    }
+    let ok = line.roundtrip(&predict_line(3, NETLIST_A, None));
+    assert_eq!(ok["ok"].as_bool(), Some(true), "{ok:?}");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two device cards that once parsed to the same circuit (a bad value
 /// silently became default sizing), and so shared a cache key: the
 /// second request was answered from the first one's cache entry. Both

@@ -304,6 +304,38 @@ fn temp_model_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// An f32 artifact whose output bias does not fit an f32 loads as +inf
+/// and compiles, but drives every prediction to +inf. The service must
+/// answer with a structured `internal` error — never `ok: true` with a
+/// non-finite value — and must not cache that answer.
+#[test]
+fn non_finite_predictions_are_internal_errors_not_answers() {
+    const MARKER: f32 = 12345.5;
+    let dir = temp_model_dir("nonfinite");
+    let json = artifact(1e-15, |saved| {
+        let bias = saved
+            .params
+            .iter_mut()
+            .rev()
+            .find(|(name, ..)| name.starts_with("head") && name.ends_with(".b"))
+            .expect("output bias");
+        bias.3[0] = MARKER;
+    });
+    assert_eq!(json.matches("12345.5").count(), 1);
+    std::fs::write(dir.join("cap_inf.json"), json.replace("12345.5", "1e39")).unwrap();
+    let (_service, handle) = start_server(&dir);
+    let mut c = Client::connect(handle.addr());
+    for id in 1..=2 {
+        let r = c.roundtrip(&predict_line(id, NETLIST_A, Some("cap_inf")));
+        assert_eq!(r["ok"].as_bool(), Some(false), "{r:?}");
+        assert_eq!(r["error"]["code"].as_str(), Some("internal"), "{r:?}");
+        let message = r["error"]["message"].as_str().unwrap();
+        assert!(message.contains("non-finite"), "{message}");
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn registry_rejects_an_f16_pinned_artifact() {
     let dir = temp_model_dir("f16");

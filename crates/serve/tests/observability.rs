@@ -2,8 +2,10 @@
 //! debug breakdowns, event-log records, rolling latency quantiles,
 //! slow-request accounting, and drift-driven health degradation.
 //!
-//! Tests that flip the process-global trace/event flags serialise on
-//! [`LOCK`] and restore the flags before returning. Assertions on
+//! Every test serialises on [`LOCK`]: tests that flip the process-global
+//! trace/event flags restore them before returning, and a service in any
+//! other test would otherwise write request records into the global
+//! event log while those flags are on. Assertions on
 //! recorded spans/events are guarded on `paragraph_obs::enabled()` so
 //! the suite also passes when the `trace` feature is compiled out.
 
@@ -256,6 +258,7 @@ fn slow_requests_are_counted_and_always_logged() {
 
 #[test]
 fn rolling_latency_quantiles_reach_the_metrics_endpoint() {
+    let _g = lock();
     let svc = service(ServiceConfig::default());
     for i in 0..20 {
         call(&svc, &format!(r#"{{"op": "health", "id": {i}}}"#));
@@ -284,6 +287,7 @@ fn rolling_latency_quantiles_reach_the_metrics_endpoint() {
 
 #[test]
 fn ood_traffic_degrades_health_and_in_distribution_stays_green() {
+    let _g = lock();
     let svc = service(ServiceConfig {
         drift: DriftConfig {
             min_requests: 4,
@@ -360,6 +364,7 @@ fn ood_traffic_degrades_health_and_in_distribution_stays_green() {
 
 #[test]
 fn health_reports_per_model_readiness() {
+    let _g = lock();
     let svc = service(ServiceConfig::default());
     let health = call(&svc, r#"{"op": "health", "id": 1}"#);
     let registry = health["result"]["model_registry"].as_array().unwrap();

@@ -23,7 +23,7 @@
 
 use crate::plan::CsrPlan;
 use crate::quant::QuantMatrix;
-use crate::tensor::{matmul_into, par_rows_by_work};
+use crate::tensor::{matmul_into, matmul_listed_into, par_listed_rows, par_rows_by_work};
 
 /// Row norms at or below this threshold pass through
 /// [`row_l2_normalize`] unscaled.
@@ -49,6 +49,44 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     assert_eq!(out.len(), m * n, "matmul out length mismatch");
     out.fill(0.0);
     matmul_into(a, b, out, m, k, n);
+}
+
+/// Row-indexed dense product: for each `r` in the ascending list `rows`,
+/// row `r` of `out (m x n)` becomes `a[r] @ b`, reading row `r` of the
+/// full `a (m x k)` in place — no gather, no scatter.
+///
+/// Each listed row is computed by [`matmul`]'s row kernel (same
+/// ascending-`p` order, same zero-skip, mul/add unfused), so it is
+/// bit-identical to that row of the dense product. Rows off the list are
+/// left untouched.
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with the given shape, or if
+/// `rows` does not strictly ascend below `m`.
+pub fn matmul_rows(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    rows: &[u32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "matmul lhs length mismatch");
+    assert_eq!(b.len(), k * n, "matmul rhs length mismatch");
+    assert_eq!(out.len(), m * n, "matmul out length mismatch");
+    assert_row_list(rows, m);
+    matmul_listed_into(a, b, out, rows, k, n);
+}
+
+/// Checks that `rows` strictly ascends below `m` — what the row-indexed
+/// kernels rely on to split their output into disjoint spans.
+fn assert_row_list(rows: &[u32], m: usize) {
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| (r as usize) < m),
+        "row list must strictly ascend below {m}"
+    );
 }
 
 /// Adds a `1 x F` bias row to every row of `x` in place.
@@ -157,11 +195,13 @@ pub fn scatter_add_rows(src: &[f32], f: usize, index: &[u32], out: &mut [f32]) {
 }
 
 /// Fused segment-mean aggregation over a compiled [`CsrPlan`]:
-/// `out[d] = (Σ_e h[src_e]) / max(deg(d), 1)`. `out` must be pre-zeroed.
+/// `out[d] = (Σ_e h[src_e]) / max(deg(d), 1)`. `out` must be pre-zeroed
+/// on the plan's destination rows ([`CsrPlan::dst_rows`]), the only rows
+/// written; a row with no incoming edge would stay zero anyway.
 ///
-/// Parallelises over destination rows exactly like the tape op (same
-/// work estimate, same chunking), so results are bit-identical across
-/// worker counts and against the tape path.
+/// Parallelises over the destination rows with a fixed per-element
+/// order, so results are bit-identical across worker counts and against
+/// the tape path.
 ///
 /// # Panics
 ///
@@ -171,12 +211,13 @@ pub fn spmm_mean(h: &[f32], f: usize, plan: &CsrPlan, out: &mut [f32]) {
     assert_eq!(h.len(), n * f, "spmm_mean input length mismatch");
     assert_eq!(out.len(), n * f, "spmm_mean out length mismatch");
     let work = plan.num_edges().saturating_mul(f);
-    par_rows_by_work(n, f, work, out, |chunk, d0, d1| {
+    par_listed_rows(plan.dst_rows(), f, work, out, |span, base, listed| {
         let offsets = plan.dst_offsets();
         let src = plan.sorted_src();
         let inv = plan.inv_in_degree();
-        for d in d0..d1 {
-            let row = &mut chunk[(d - d0) * f..(d - d0 + 1) * f];
+        for &d in listed {
+            let d = d as usize;
+            let row = &mut span[(d - base) * f..(d - base + 1) * f];
             for &s in &src[offsets[d] as usize..offsets[d + 1] as usize] {
                 let s = s as usize;
                 for (o, &v) in row.iter_mut().zip(h[s * f..(s + 1) * f].iter()) {
@@ -231,8 +272,10 @@ pub fn spmm_norm(h: &[f32], f: usize, plan: &CsrPlan, coeff: &[f32], out: &mut [
 /// (destination half first). Fills `raw[e] = z[dst_e]·a_dst + z[src_e]·a_src`
 /// (pre-activation, needed by the backward pass) and `alpha` with the
 /// per-destination softmax of `leaky_relu(raw)`; `zd_dot`/`zs_dot` are
-/// `N`-long scratch for the per-node score halves. All four buffers are
-/// fully overwritten — no pre-zeroing needed.
+/// `N`-long scratch for the per-node score halves, written only at the
+/// plan's touched rows ([`CsrPlan::touched_rows`]) — the only rows of `z`
+/// read, so the rest of `z` may hold anything. `raw` and `alpha` are
+/// fully overwritten; no buffer needs pre-zeroing.
 ///
 /// # Panics
 ///
@@ -261,8 +304,9 @@ pub fn attend_scores(
     let a_src = &a[f..];
     // Per-node halves of the score: raw_e decomposes into
     // zd_dot[dst_e] + zs_dot[src_e], so the O(E·F) gathered dot product
-    // collapses to O(N·F) + O(E).
-    for i in 0..n {
+    // collapses to O(touched·F) + O(E).
+    for &i in plan.touched_rows() {
+        let i = i as usize;
         let row = &z[i * f..(i + 1) * f];
         let mut d = 0.0_f32;
         let mut s = 0.0_f32;
@@ -291,11 +335,8 @@ fn scores_segments(
     for (ei, r) in raw.iter_mut().enumerate() {
         *r = zd_dot[plan.sorted_dst()[ei] as usize] + zs_dot[plan.sorted_src()[ei] as usize];
     }
-    for d in 0..plan.num_nodes() {
-        let seg = plan.edges_into(d);
-        if seg.is_empty() {
-            continue;
-        }
+    for &d in plan.dst_rows() {
+        let seg = plan.edges_into(d as usize);
         let mut max = f32::NEG_INFINITY;
         for ei in seg.clone() {
             let x = raw[ei];
@@ -355,7 +396,7 @@ pub fn attend_scores_fast(
         assert_eq!(raw.len(), e, "raw buffer length mismatch");
         assert_eq!(alpha.len(), e, "alpha buffer length mismatch");
         // SAFETY: AVX2 + FMA presence and the lane count checked above.
-        unsafe { score_dots_avx2(z, f, &a[..f], &a[f..], zd_dot, zs_dot) };
+        unsafe { score_dots_avx2(z, f, &a[..f], &a[f..], plan.touched_rows(), zd_dot, zs_dot) };
         scores_segments(plan, slope, zd_dot, zs_dot, raw, alpha);
         return;
     }
@@ -363,7 +404,12 @@ pub fn attend_scores_fast(
 }
 
 /// AVX2+FMA inner kernel for [`attend_scores_fast`]: both score halves
-/// per row in one pass over `z`.
+/// per listed row in one pass over `z`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and `f` must be a multiple of 8
+/// with `a_dst`/`a_src` at least `f` long (row slices are bounds-checked).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn score_dots_avx2(
@@ -371,6 +417,7 @@ unsafe fn score_dots_avx2(
     f: usize,
     a_dst: &[f32],
     a_src: &[f32],
+    rows: &[u32],
     zd_dot: &mut [f32],
     zs_dot: &mut [f32],
 ) {
@@ -384,7 +431,8 @@ unsafe fn score_dots_avx2(
         let s = _mm_add_ss(d, _mm_shuffle_ps(d, d, 1));
         _mm_cvtss_f32(s)
     }
-    for (i, (zd, zs)) in zd_dot.iter_mut().zip(zs_dot.iter_mut()).enumerate() {
+    for &i in rows {
+        let i = i as usize;
         let row = z[i * f..(i + 1) * f].as_ptr();
         let mut accd = _mm256_setzero_ps();
         let mut accs = _mm256_setzero_ps();
@@ -395,8 +443,8 @@ unsafe fn score_dots_avx2(
             accs = _mm256_fmadd_ps(v, _mm256_loadu_ps(a_src.as_ptr().add(j)), accs);
             j += 8;
         }
-        *zd = hsum(accd);
-        *zs = hsum(accs);
+        zd_dot[i] = hsum(accd);
+        zs_dot[i] = hsum(accs);
     }
 }
 
@@ -405,6 +453,8 @@ unsafe fn score_dots_avx2(
 /// [`attend_scores`]). Accumulates into `out` — pre-zero it for a plain
 /// attended result, or hand it a running sum to fuse the follow-on add
 /// (the executor's reduced-precision edge-type accumulation does this).
+/// Only the plan's destination rows ([`CsrPlan::dst_rows`]) are visited;
+/// every other row of `out` is left untouched.
 ///
 /// # Panics
 ///
@@ -415,11 +465,12 @@ pub fn attend_apply(z: &[f32], f: usize, plan: &CsrPlan, alpha: &[f32], out: &mu
     assert_eq!(out.len(), n * f, "attend out length mismatch");
     assert_eq!(alpha.len(), plan.num_edges(), "alpha/edge count mismatch");
     let work = plan.num_edges().saturating_mul(f);
-    par_rows_by_work(n, f, work, out, |chunk, d0, d1| {
+    par_listed_rows(plan.dst_rows(), f, work, out, |span, base, listed| {
         let offsets = plan.dst_offsets();
         let src = plan.sorted_src();
-        for d in d0..d1 {
-            let row = &mut chunk[(d - d0) * f..(d - d0 + 1) * f];
+        for &d in listed {
+            let d = d as usize;
+            let row = &mut span[(d - base) * f..(d - base + 1) * f];
             for ei in offsets[d] as usize..offsets[d + 1] as usize {
                 let w = alpha[ei];
                 let s = src[ei] as usize;
@@ -782,36 +833,91 @@ pub fn matmul_q8_prepared(
     assert_eq!(out.len(), m * n, "matmul_q8_prepared out length mismatch");
     let work = m.saturating_mul(k).saturating_mul(n);
     par_rows_by_work(m, n, work, out, |chunk, r0, r1| {
-        #[cfg(target_arch = "x86_64")]
-        if lanes8_tiled(n) {
-            // SAFETY: feature detection and lane count checked above.
-            unsafe { matmul_q8_prepared_rows_avx2(p, a_scale, b, chunk, n, r0, r1) };
-            return;
-        }
-        let packed = b.packed();
-        let scales = b.scales();
-        let mut acc = vec![0_i32; n];
-        for i in r0..r1 {
-            acc.fill(0);
-            for t in p.nz_start[i] as usize..p.nz_start[i + 1] as usize {
-                let q = p.nz_q[t] as usize;
-                let word = p.nz_word[t];
-                let a0 = (word & 0xffff) as u16 as i16 as i32;
-                let a1 = ((word >> 16) & 0xffff) as u16 as i16 as i32;
-                let b_pair = &packed[q * 2 * n..(q + 1) * 2 * n];
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    *slot += a0 * b_pair[2 * j] as i32 + a1 * b_pair[2 * j + 1] as i32;
-                }
-            }
-            let c_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
-            for (j, c_v) in c_row.iter_mut().enumerate() {
-                *c_v = (acc[j] as f32 * a_scale) * scales[j];
-            }
-        }
+        q8_prepared_rows(p, a_scale, b, chunk, n, r0, r0..r1);
     });
 }
 
-/// AVX2 inner kernel for [`matmul_q8_prepared`].
+/// Row-indexed [`matmul_q8_prepared`]: for each `r` in the ascending
+/// list `rows`, row `r` of `out (m x n)` is overwritten with row `r`
+/// of the full prepared product — the same per-row integer accumulation
+/// and dequantization, so listed rows are bit-identical to the dense
+/// call's. Rows off the list are left untouched.
+///
+/// # Panics
+///
+/// Panics as [`matmul_q8_prepared`] does, or if `rows` does not
+/// strictly ascend below the prepared row count.
+pub fn matmul_q8_prepared_rows(
+    p: &Q8Prepared,
+    a_scale: f32,
+    b: &QuantMatrix,
+    out: &mut [f32],
+    rows: &[u32],
+    n: usize,
+) {
+    let (m, k) = (p.m, p.k);
+    assert_eq!(
+        (b.rows(), b.cols()),
+        (k, n),
+        "matmul_q8_prepared rhs shape mismatch"
+    );
+    assert_eq!(out.len(), m * n, "matmul_q8_prepared out length mismatch");
+    assert_row_list(rows, m);
+    let work = rows.len().saturating_mul(k).saturating_mul(n);
+    par_listed_rows(rows, n, work, out, |span, base, listed| {
+        let listed = listed.iter().map(|&r| r as usize);
+        q8_prepared_rows(p, a_scale, b, span, n, base, listed);
+    });
+}
+
+/// Row kernel of the prepared int8 GEMM: for each `i` of `rows`, writes
+/// output row `i - base` of `c`.
+fn q8_prepared_rows(
+    p: &Q8Prepared,
+    a_scale: f32,
+    b: &QuantMatrix,
+    c: &mut [f32],
+    n: usize,
+    base: usize,
+    rows: impl Iterator<Item = usize> + Clone,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if lanes8_tiled(n) {
+        // SAFETY: feature detection and lane count checked above; both
+        // callers check `b`'s shape and bound `rows` by the preparation.
+        unsafe { matmul_q8_prepared_rows_avx2(p, a_scale, b, c, n, base, rows) };
+        return;
+    }
+    let packed = b.packed();
+    let scales = b.scales();
+    let mut acc = vec![0_i32; n];
+    for i in rows {
+        acc.fill(0);
+        for t in p.nz_start[i] as usize..p.nz_start[i + 1] as usize {
+            let q = p.nz_q[t] as usize;
+            let word = p.nz_word[t];
+            let a0 = (word & 0xffff) as u16 as i16 as i32;
+            let a1 = ((word >> 16) & 0xffff) as u16 as i16 as i32;
+            let b_pair = &packed[q * 2 * n..(q + 1) * 2 * n];
+            for (j, slot) in acc.iter_mut().enumerate() {
+                *slot += a0 * b_pair[2 * j] as i32 + a1 * b_pair[2 * j + 1] as i32;
+            }
+        }
+        let c_row = &mut c[(i - base) * n..(i - base + 1) * n];
+        for (j, c_v) in c_row.iter_mut().enumerate() {
+            *c_v = (acc[j] as f32 * a_scale) * scales[j];
+        }
+    }
+}
+
+/// AVX2 inner kernel for [`q8_prepared_rows`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `n` must be a multiple of 8 matching
+/// `b`'s width and `b`'s inner dimension must match `p`'s, and every
+/// row of `rows` must be below `p.rows()`: the per-row nonzero offsets
+/// are read unchecked.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_q8_prepared_rows_avx2(
@@ -820,14 +926,14 @@ unsafe fn matmul_q8_prepared_rows_avx2(
     b: &QuantMatrix,
     c: &mut [f32],
     n: usize,
-    row_start: usize,
-    row_end: usize,
+    base: usize,
+    rows: impl Iterator<Item = usize>,
 ) {
     use std::arch::x86_64::*;
     let packed = b.packed();
     let scales = b.scales();
     let vscale = _mm256_set1_ps(a_scale);
-    for i in row_start..row_end {
+    for i in rows {
         let t0 = *p.nz_start.get_unchecked(i) as usize;
         let t1 = *p.nz_start.get_unchecked(i + 1) as usize;
         let mut col0 = 0;
@@ -844,7 +950,7 @@ unsafe fn matmul_q8_prepared_rows_avx2(
                     *slot = _mm256_add_epi32(*slot, _mm256_madd_epi16(bv, av));
                 }
             }
-            let c_row = c[(i - row_start) * n..(i - row_start + 1) * n].as_mut_ptr();
+            let c_row = c[(i - base) * n..(i - base + 1) * n].as_mut_ptr();
             for (bl, slot) in acc.iter().take(blocks).enumerate() {
                 let f = _mm256_cvtepi32_ps(*slot);
                 let sc = _mm256_loadu_ps(scales.as_ptr().add(col0 + bl * 8));
@@ -875,9 +981,9 @@ pub fn spmm_mean_fast(h: &[f32], f: usize, plan: &CsrPlan, out: &mut [f32]) {
         assert_eq!(h.len(), n * f, "spmm_mean input length mismatch");
         assert_eq!(out.len(), n * f, "spmm_mean out length mismatch");
         let work = plan.num_edges().saturating_mul(f);
-        par_rows_by_work(n, f, work, out, |chunk, d0, d1| {
+        par_listed_rows(plan.dst_rows(), f, work, out, |span, base, listed| {
             // SAFETY: lanes8_tiled verified AVX2 and the lane count.
-            unsafe { spmm_mean_rows_avx2(h, f, plan, chunk, d0, d1) };
+            unsafe { spmm_mean_rows_avx2(h, f, plan, span, base, listed) };
         });
         return;
     }
@@ -885,15 +991,19 @@ pub fn spmm_mean_fast(h: &[f32], f: usize, plan: &CsrPlan, out: &mut [f32]) {
 }
 
 /// AVX2 inner kernel for [`spmm_mean_fast`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `f` must be a multiple of 8.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn spmm_mean_rows_avx2(
     h: &[f32],
     f: usize,
     plan: &CsrPlan,
-    chunk: &mut [f32],
-    d0: usize,
-    d1: usize,
+    span: &mut [f32],
+    base: usize,
+    listed: &[u32],
 ) {
     use std::arch::x86_64::*;
     let offsets = plan.dst_offsets();
@@ -902,8 +1012,9 @@ unsafe fn spmm_mean_rows_avx2(
     let mut col0 = 0;
     while col0 < f {
         let blocks = ((f - col0) / 8).min(8);
-        for d in d0..d1 {
-            let row = chunk[(d - d0) * f..(d - d0 + 1) * f].as_mut_ptr();
+        for &d in listed {
+            let d = d as usize;
+            let row = span[(d - base) * f..(d - base + 1) * f].as_mut_ptr();
             let mut acc = [_mm256_setzero_ps(); 8];
             for (bl, slot) in acc.iter_mut().take(blocks).enumerate() {
                 *slot = _mm256_loadu_ps(row.add(col0 + bl * 8));
@@ -939,9 +1050,9 @@ pub fn attend_apply_fast(z: &[f32], f: usize, plan: &CsrPlan, alpha: &[f32], out
         assert_eq!(out.len(), n * f, "attend out length mismatch");
         assert_eq!(alpha.len(), plan.num_edges(), "alpha/edge count mismatch");
         let work = plan.num_edges().saturating_mul(f);
-        par_rows_by_work(n, f, work, out, |chunk, d0, d1| {
+        par_listed_rows(plan.dst_rows(), f, work, out, |span, base, listed| {
             // SAFETY: lanes8_tiled verified AVX2 and the lane count.
-            unsafe { attend_apply_rows_avx2(z, f, plan, alpha, chunk, d0, d1) };
+            unsafe { attend_apply_rows_avx2(z, f, plan, alpha, span, base, listed) };
         });
         return;
     }
@@ -949,6 +1060,10 @@ pub fn attend_apply_fast(z: &[f32], f: usize, plan: &CsrPlan, alpha: &[f32], out
 }
 
 /// AVX2 inner kernel for [`attend_apply_fast`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `f` must be a multiple of 8.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn attend_apply_rows_avx2(
@@ -956,9 +1071,9 @@ unsafe fn attend_apply_rows_avx2(
     f: usize,
     plan: &CsrPlan,
     alpha: &[f32],
-    chunk: &mut [f32],
-    d0: usize,
-    d1: usize,
+    span: &mut [f32],
+    base: usize,
+    listed: &[u32],
 ) {
     use std::arch::x86_64::*;
     let offsets = plan.dst_offsets();
@@ -966,8 +1081,9 @@ unsafe fn attend_apply_rows_avx2(
     let mut col0 = 0;
     while col0 < f {
         let blocks = ((f - col0) / 8).min(8);
-        for d in d0..d1 {
-            let row = chunk[(d - d0) * f..(d - d0 + 1) * f].as_mut_ptr();
+        for &d in listed {
+            let d = d as usize;
+            let row = span[(d - base) * f..(d - base + 1) * f].as_mut_ptr();
             let mut acc = [_mm256_setzero_ps(); 8];
             for (bl, slot) in acc.iter_mut().take(blocks).enumerate() {
                 *slot = _mm256_loadu_ps(row.add(col0 + bl * 8));
@@ -1186,5 +1302,115 @@ mod tests {
         // Node 1 aggregates nothing; node 0 aggregates z[2] with weight 1.
         assert_eq!(&out[2..4], &[0.0, 0.0]);
         assert_eq!(&out[..2], &[-0.4, 0.5]);
+    }
+
+    /// Pseudo-random values in about [-1, 1) with every fifth exactly
+    /// zero, so the zero-skip paths run.
+    fn values(len: usize, seed: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let x = (i * 7919 + seed * 104_729) % 997;
+                if x.is_multiple_of(5) {
+                    0.0
+                } else {
+                    x as f32 / 498.5 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    /// Rows of `m` kept by the row-list tests: two of every three.
+    fn listed(m: usize) -> Vec<u32> {
+        (0..m as u32).filter(|r| r % 3 != 1).collect()
+    }
+
+    /// Listed rows of `got` equal `want` bit for bit; every other row
+    /// still holds the sentinel it started with.
+    fn assert_rows(got: &[f32], want: &[f32], rows: &[u32], n: usize, sentinel: f32) {
+        for r in 0..got.len() / n {
+            let (g, w) = (&got[r * n..(r + 1) * n], &want[r * n..(r + 1) * n]);
+            if rows.contains(&(r as u32)) {
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g), bits(w), "row {r}");
+            } else {
+                assert!(g.iter().all(|&v| v == sentinel), "unlisted row {r} written");
+            }
+        }
+    }
+
+    #[test]
+    fn row_indexed_gemms_match_dense_rows() {
+        // AVX2 and portable widths, inline and (past the work threshold,
+        // on a multi-worker pool) split across workers.
+        for (m, k, n) in [(40, 16, 24), (40, 16, 12), (700, 128, 64), (700, 128, 36)] {
+            let a = values(m * k, 1);
+            let b = values(k * n, 2);
+            let rows = listed(m);
+            let mut dense = vec![0.0; m * n];
+            matmul(&a, &b, &mut dense, m, k, n);
+            let mut out = vec![7.0; m * n];
+            matmul_rows(&a, &b, &mut out, &rows, m, k, n);
+            assert_rows(&out, &dense, &rows, n, 7.0);
+
+            let bq = QuantMatrix::quantize(&b, k, n);
+            let scale = crate::quant::max_abs(&a) / 127.0;
+            let mut prep = Q8Prepared::default();
+            prep.prepare(&a, scale, m, k);
+            matmul_q8_prepared(&prep, scale, &bq, &mut dense, n);
+            out.fill(7.0);
+            matmul_q8_prepared_rows(&prep, scale, &bq, &mut out, &rows, n);
+            assert_rows(&out, &dense, &rows, n, 7.0);
+        }
+    }
+
+    #[test]
+    fn aggregations_visit_only_destination_rows() {
+        // 4000 nodes, a third of which receive edges; E·F is past the
+        // parallel threshold so a multi-worker pool splits the rows.
+        let (n, f, e) = (4000_usize, 32_usize, 70_000_usize);
+        let src: Vec<u32> = (0..e).map(|i| ((i * 7919) % n) as u32).collect();
+        let dst: Vec<u32> = (0..e)
+            .map(|i| ((i * 104_729) % (n / 3) * 3) as u32)
+            .collect();
+        let plan = CsrPlan::new(&src, &dst, n);
+        assert_eq!(plan.dst_rows().len(), n / 3);
+        let z = values(n * f, 3);
+        let alpha = values(e, 4);
+        // Scalar reference in the kernels' per-element order.
+        let mut weighted = vec![0.0_f32; n * f];
+        let mut mean = vec![0.0_f32; n * f];
+        for &d in plan.dst_rows() {
+            let d = d as usize;
+            for ei in plan.edges_into(d) {
+                let s = plan.sorted_src()[ei] as usize;
+                for j in 0..f {
+                    weighted[d * f + j] += alpha[ei] * z[s * f + j];
+                    mean[d * f + j] += z[s * f + j];
+                }
+            }
+            for j in 0..f {
+                mean[d * f + j] *= plan.inv_in_degree()[d];
+            }
+        }
+        let zeroed = |sentinel: f32| {
+            let mut out = vec![sentinel; n * f];
+            for &d in plan.dst_rows() {
+                out[d as usize * f..(d as usize + 1) * f].fill(0.0);
+            }
+            out
+        };
+        let rows = plan.dst_rows();
+        let mut out = zeroed(5.0);
+        attend_apply(&z, f, &plan, &alpha, &mut out);
+        assert_rows(&out, &weighted, rows, f, 5.0);
+        let mut out = zeroed(5.0);
+        attend_apply_fast(&z, f, &plan, &alpha, &mut out);
+        assert_rows(&out, &weighted, rows, f, 5.0);
+        let mut out = zeroed(5.0);
+        spmm_mean(&z, f, &plan, &mut out);
+        assert_rows(&out, &mean, rows, f, 5.0);
+        let mut out = zeroed(5.0);
+        spmm_mean_fast(&z, f, &plan, &mut out);
+        assert_rows(&out, &mean, rows, f, 5.0);
     }
 }

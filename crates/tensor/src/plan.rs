@@ -14,6 +14,12 @@
 //! fused segment reductions accumulate in exactly the same element order
 //! as the composed `scatter_add_rows` path, which is what lets the fused
 //! kernels be bitwise identical to the primitives they replace.
+//!
+//! A plan also lists the rows its edges touch: the destinations with a
+//! non-empty segment, and every node that is a source or destination.
+//! On a circuit graph each of the 30 edge types touches a small share of
+//! the nodes, so kernels that visit only these rows skip work whose
+//! result nothing reads (untouched rows would receive no message).
 
 use std::sync::Arc;
 
@@ -43,6 +49,10 @@ pub struct CsrPlan {
     /// `1 / max(in_degree, 1)` — the mean-aggregation coefficient.
     inv_in_degree: Vec<f32>,
     out_degree: Vec<f32>,
+    /// Ascending destinations with at least one incoming edge.
+    dst_rows: Vec<u32>,
+    /// Ascending nodes that are the source or destination of an edge.
+    touched_rows: Vec<u32>,
 }
 
 impl CsrPlan {
@@ -64,6 +74,8 @@ impl CsrPlan {
             in_degree: Vec::new(),
             inv_in_degree: Vec::new(),
             out_degree: Vec::new(),
+            dst_rows: Vec::new(),
+            touched_rows: Vec::new(),
         };
         plan.rebuild(src, dst, num_nodes);
         plan
@@ -151,6 +163,32 @@ impl CsrPlan {
         self.inv_in_degree.clear();
         self.inv_in_degree
             .extend(self.in_degree.iter().map(|&d| 1.0 / d.max(1.0)));
+
+        // Row lists in O(E): destinations ascend in dst-sorted order,
+        // sources in the source transpose's order; dedup both and merge.
+        let dst_rows = &mut self.dst_rows;
+        dst_rows.clear();
+        for &d in &self.sorted_dst {
+            if dst_rows.last() != Some(&d) {
+                dst_rows.push(d);
+            }
+        }
+        let touched = &mut self.touched_rows;
+        touched.clear();
+        let mut push = |v: u32| {
+            if touched.last() != Some(&v) {
+                touched.push(v);
+            }
+        };
+        let mut dsts = dst_rows.iter().copied().peekable();
+        for &ei in &self.edges_of_src {
+            let s = self.sorted_src[ei as usize];
+            while let Some(d) = dsts.next_if(|&d| d < s) {
+                push(d);
+            }
+            push(s);
+        }
+        dsts.for_each(push);
     }
 
     /// Convenience constructor that wraps the plan in an `Arc`.
@@ -171,6 +209,8 @@ impl CsrPlan {
             + self.in_degree.capacity()
             + self.inv_in_degree.capacity()
             + self.out_degree.capacity()
+            + self.dst_rows.capacity()
+            + self.touched_rows.capacity()
     }
 
     /// Shrinks every internal buffer's *excess* capacity back to its
@@ -192,6 +232,8 @@ impl CsrPlan {
         trim(&mut self.in_degree, cap);
         trim(&mut self.inv_in_degree, cap);
         trim(&mut self.out_degree, cap);
+        trim(&mut self.dst_rows, cap);
+        trim(&mut self.touched_rows, cap);
     }
 
     /// Number of nodes the plan was compiled over.
@@ -258,6 +300,18 @@ impl CsrPlan {
     pub fn out_degree(&self) -> &[f32] {
         &self.out_degree
     }
+
+    /// Destinations with a non-empty segment, ascending: the only rows a
+    /// segment reduction over this plan writes.
+    pub fn dst_rows(&self) -> &[u32] {
+        &self.dst_rows
+    }
+
+    /// Nodes that are a source or destination of some edge, ascending:
+    /// the only rows a message over this plan reads or writes.
+    pub fn touched_rows(&self) -> &[u32] {
+        &self.touched_rows
+    }
 }
 
 /// Clears and zero-resizes a scatter target, reusing its capacity.
@@ -314,6 +368,33 @@ mod tests {
         assert_eq!(plan.in_degree(), &[2.0, 2.0, 1.0, 0.0]);
         assert_eq!(plan.out_degree(), &[2.0, 1.0, 2.0, 0.0]);
         assert_eq!(plan.inv_in_degree(), &[0.5, 0.5, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn row_lists_cover_exactly_the_touched_nodes() {
+        // Node 3 only sends, node 4 only receives, nodes 1 and 5 are
+        // isolated.
+        let plan = CsrPlan::new(&[0, 3, 2], &[2, 4, 0], 6);
+        assert_eq!(plan.dst_rows(), &[0, 2, 4]);
+        assert_eq!(plan.touched_rows(), &[0, 2, 3, 4]);
+        let empty = CsrPlan::new(&[], &[], 3);
+        assert!(empty.dst_rows().is_empty() && empty.touched_rows().is_empty());
+        // Against the degree vectors on scrambled multi-edge lists.
+        for seed in 0..20_u32 {
+            let n = 3 + seed as usize % 9;
+            let e = seed as usize % 13;
+            let src: Vec<u32> = (0..e as u32)
+                .map(|i| (i * 7 + seed * 3) % n as u32)
+                .collect();
+            let dst: Vec<u32> = (0..e as u32).map(|i| (i * i + seed) % n as u32).collect();
+            let plan = CsrPlan::new(&src, &dst, n);
+            let want = |pred: &dyn Fn(usize) -> bool| -> Vec<u32> {
+                (0..n).filter(|&v| pred(v)).map(|v| v as u32).collect()
+            };
+            let (din, dout) = (plan.in_degree(), plan.out_degree());
+            assert_eq!(plan.dst_rows(), want(&|v| din[v] > 0.0));
+            assert_eq!(plan.touched_rows(), want(&|v| din[v] + dout[v] > 0.0));
+        }
     }
 
     #[test]

@@ -546,9 +546,74 @@ pub(crate) fn par_rows_by_work(
     });
 }
 
+/// [`par_rows_by_work`] over an ascending row list instead of all rows:
+/// runs `kernel(span, base, listed)` where `listed` is a run of `rows`
+/// and `span` is the part of the `n`-wide buffer `c` starting at row
+/// `base = listed[0]` (row `r` of `c` is row `r - base` of `span`). Rows
+/// off the list are never handed out, so they keep whatever `c` held.
+///
+/// Spans are disjoint because the list ascends, so any kernel with a
+/// fixed per-element accumulation order stays bit-identical across
+/// worker counts — and to its all-rows counterpart on the listed rows.
+pub(crate) fn par_listed_rows(
+    rows: &[u32],
+    n: usize,
+    work: usize,
+    c: &mut [f32],
+    kernel: impl Fn(&mut [f32], usize, &[u32]) + Sync,
+) {
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+    let pool = paragraph_runtime::global();
+    let threads = if work >= PAR_FLOP_THRESHOLD {
+        pool.threads().min(8)
+    } else {
+        1
+    };
+    if threads <= 1 || rows.len() < 2 * threads || n == 0 {
+        kernel(c, 0, rows);
+        return;
+    }
+    let m = c.len() / n;
+    let chunk = rows.len().div_ceil(threads);
+    pool.scope(|scope| {
+        // Each span runs from its first listed row to the next span's.
+        let mut rest = &mut c[rows[0] as usize * n..];
+        for (j, listed) in rows.chunks(chunk).enumerate() {
+            let base = listed[0] as usize;
+            let end = rows.get((j + 1) * chunk).map_or(m, |&r| r as usize);
+            let (span, tail) = rest.split_at_mut((end - base) * n);
+            rest = tail;
+            let kernel = &kernel;
+            scope.spawn(move || kernel(span, base, listed));
+        }
+    });
+}
+
 pub(crate) fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     par_row_chunks(m, k, n, c, |chunk, row_start, row_end| {
-        matmul_rows(a, b, chunk, k, n, row_start, row_end);
+        matmul_rows(a, b, chunk, k, n, row_start, row_start..row_end);
+    });
+}
+
+/// Row-indexed [`matmul_into`]: for each listed row `r`, row `r` of
+/// `c (m x n)` becomes `a[r] (1 x k) @ b` — zeroed, then accumulated by
+/// the same row kernel in the same order, so each listed row is
+/// bit-identical to the dense product's. Unlisted rows are untouched.
+pub(crate) fn matmul_listed_into(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    rows: &[u32],
+    k: usize,
+    n: usize,
+) {
+    let work = rows.len().saturating_mul(k).saturating_mul(n);
+    par_listed_rows(rows, n, work, c, |span, base, listed| {
+        let listed = listed.iter().map(|&r| r as usize);
+        for r in listed.clone() {
+            span[(r - base) * n..(r - base + 1) * n].fill(0.0);
+        }
+        matmul_rows(a, b, span, k, n, base, listed);
     });
 }
 
@@ -569,6 +634,11 @@ fn avx2_cols(n: usize) -> bool {
 /// stay separate instructions (no FMA), so every element sums its
 /// terms in exactly the portable kernel's order and the two paths are
 /// bit-identical.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `col0 + BLOCKS * 8 <= n`; row slices
+/// are bounds-checked.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -579,13 +649,13 @@ unsafe fn matmul_rows_avx2<const BLOCKS: usize>(
     k: usize,
     n: usize,
     col0: usize,
-    row_start: usize,
-    row_end: usize,
+    base: usize,
+    rows: impl Iterator<Item = usize>,
 ) {
     use std::arch::x86_64::*;
     debug_assert!(col0 + BLOCKS * 8 <= n);
-    for i in row_start..row_end {
-        let c_row = c[(i - row_start) * n..(i - row_start + 1) * n].as_mut_ptr();
+    for i in rows {
+        let c_row = c[(i - base) * n..(i - base + 1) * n].as_mut_ptr();
         let a_row = &a[i * k..(i + 1) * k];
         let mut acc = [_mm256_setzero_ps(); BLOCKS];
         for (bl, slot) in acc.iter_mut().enumerate() {
@@ -622,46 +692,48 @@ unsafe fn matmul_rows_avx2_dispatch(
     c: &mut [f32],
     k: usize,
     n: usize,
-    row_start: usize,
-    row_end: usize,
+    base: usize,
+    rows: impl Iterator<Item = usize> + Clone,
 ) {
     let mut col0 = 0;
     while col0 < n {
         let blocks = ((n - col0) / 8).min(8);
+        let rows = rows.clone();
         match blocks {
-            1 => matmul_rows_avx2::<1>(a, b, c, k, n, col0, row_start, row_end),
-            2 => matmul_rows_avx2::<2>(a, b, c, k, n, col0, row_start, row_end),
-            3 => matmul_rows_avx2::<3>(a, b, c, k, n, col0, row_start, row_end),
-            4 => matmul_rows_avx2::<4>(a, b, c, k, n, col0, row_start, row_end),
-            5 => matmul_rows_avx2::<5>(a, b, c, k, n, col0, row_start, row_end),
-            6 => matmul_rows_avx2::<6>(a, b, c, k, n, col0, row_start, row_end),
-            7 => matmul_rows_avx2::<7>(a, b, c, k, n, col0, row_start, row_end),
-            _ => matmul_rows_avx2::<8>(a, b, c, k, n, col0, row_start, row_end),
+            1 => matmul_rows_avx2::<1>(a, b, c, k, n, col0, base, rows),
+            2 => matmul_rows_avx2::<2>(a, b, c, k, n, col0, base, rows),
+            3 => matmul_rows_avx2::<3>(a, b, c, k, n, col0, base, rows),
+            4 => matmul_rows_avx2::<4>(a, b, c, k, n, col0, base, rows),
+            5 => matmul_rows_avx2::<5>(a, b, c, k, n, col0, base, rows),
+            6 => matmul_rows_avx2::<6>(a, b, c, k, n, col0, base, rows),
+            7 => matmul_rows_avx2::<7>(a, b, c, k, n, col0, base, rows),
+            _ => matmul_rows_avx2::<8>(a, b, c, k, n, col0, base, rows),
         }
         col0 += blocks * 8;
     }
 }
 
-/// Inner row kernel: accumulates `b` rows into each output row in
-/// strictly ascending `p` order — every element sums its terms in the
-/// same fixed order regardless of chunking or instruction width, so the
-/// result is bit-identical across dispatch paths and worker counts.
+/// Inner row kernel: for each `i` of `rows`, accumulates `b` rows into
+/// output row `i - base` of `c` in strictly ascending `p` order — every
+/// element sums its terms in the same fixed order regardless of
+/// chunking, row selection or instruction width, so the result is
+/// bit-identical across dispatch paths and worker counts.
 fn matmul_rows(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
     k: usize,
     n: usize,
-    row_start: usize,
-    row_end: usize,
+    base: usize,
+    rows: impl Iterator<Item = usize> + Clone,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_cols(n) {
         // SAFETY: avx2_cols verified the CPU feature and lane count.
-        return unsafe { matmul_rows_avx2_dispatch(a, b, c, k, n, row_start, row_end) };
+        return unsafe { matmul_rows_avx2_dispatch(a, b, c, k, n, base, rows) };
     }
-    for i in row_start..row_end {
-        let c_row = &mut c[(i - row_start) * n..(i - row_start + 1) * n];
+    for i in rows {
+        let c_row = &mut c[(i - base) * n..(i - base + 1) * n];
         let a_row = &a[i * k..(i + 1) * k];
         for (p, &a_ip) in a_row.iter().enumerate() {
             if a_ip == 0.0 {
