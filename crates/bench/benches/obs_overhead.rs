@@ -1,12 +1,11 @@
 //! Criterion bench: observability disabled-path overhead.
 //!
 //! The tracing layer's contract is that an un-enabled `span!` costs one
-//! relaxed atomic load — nothing else — and the event log makes the
-//! same promise for an un-enabled [`paragraph_obs::Event`]. This bench
-//! measures both costs in isolation, compares them against the
-//! wall-clock of the matmul they would instrument, **asserts each ratio
-//! stays under 2%**, and writes the numbers to
-//! `target/obs_overhead.json`.
+//! relaxed atomic load — nothing else — and that an enabled trace store
+//! stays cheap for a request it does not retain. This bench measures
+//! both costs in isolation, compares them against the wall-clock of the
+//! matmul they would instrument, **asserts each ratio stays under 2%**,
+//! and writes the numbers to `target/obs_overhead.json`.
 
 use std::time::Instant;
 
@@ -32,28 +31,10 @@ fn disabled_span_ns(iters: u64) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
-/// Nanoseconds per disabled event build + emit. Field builders must be
-/// inert (no allocation, no formatting) when recording is off, so the
-/// measured chain attaches one of each field type.
-fn disabled_event_ns(iters: u64) -> f64 {
-    paragraph_obs::set_events_enabled(false);
-    let start = Instant::now();
-    for i in 0..iters {
-        paragraph_obs::Event::new("bench_noop")
-            .str_field("op", "bench")
-            .u64_field("i", i)
-            .f64_field("latency_us", 1.5)
-            .bool_field("ok", true)
-            .emit();
-        std::hint::black_box(i);
-    }
-    start.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
 /// Nanoseconds per full store-enabled, not-retained request cycle:
 /// `begin` → enter context → one recorded span → `complete` with an
-/// unremarkable outcome the tail sampler drops (`keep_one_in = 0`, slow
-/// threshold unreachable). This is the steady-state per-request cost a
+/// unremarkable outcome the tail sampler drops (`keep_one_in = 0`, not
+/// flagged slow). This is the steady-state per-request cost a
 /// service pays for an always-on store when nothing interesting
 /// happens. Request ids are prebuilt so the measurement excludes
 /// formatting.
@@ -63,7 +44,6 @@ fn store_not_retained_cycle_ns(iters: u64) -> f64 {
     let store = paragraph_obs::trace_store();
     store.reset();
     store.set_keep_one_in(0);
-    store.set_slow_threshold_us(f64::MAX);
     let ids: Vec<String> = (0..iters).map(|i| format!("bench-{i}")).collect();
     let start = Instant::now();
     for id in &ids {
@@ -111,15 +91,6 @@ fn bench_disabled_span(c: &mut Criterion) {
             std::hint::black_box(0)
         })
     });
-    paragraph_obs::set_events_enabled(false);
-    group.bench_function("disabled_event", |bench| {
-        bench.iter(|| {
-            paragraph_obs::Event::new("bench_noop")
-                .u64_field("i", 1)
-                .emit();
-            std::hint::black_box(0)
-        })
-    });
     group.finish();
 }
 
@@ -132,7 +103,7 @@ fn write_summary(_c: &mut Criterion) {
         (256, 20, 5_000_000)
     };
 
-    // Sanity: the enabled paths must actually record, otherwise a broken
+    // Sanity: the enabled path must actually record, otherwise a broken
     // feature gate would make the overhead numbers meaningless.
     paragraph_obs::set_enabled(true);
     {
@@ -143,43 +114,24 @@ fn write_summary(_c: &mut Criterion) {
         probe.iter().any(|e| e.name == "overhead_probe"),
         "enabled span did not record; overhead measurement is invalid"
     );
-    paragraph_obs::set_events_enabled(true);
-    paragraph_obs::Event::new("overhead_probe").emit();
-    let probe_lines = paragraph_obs::take_event_lines();
-    assert!(
-        probe_lines
-            .iter()
-            .any(|l| l.contains("\"kind\":\"overhead_probe\"")),
-        "enabled event did not record; overhead measurement is invalid"
-    );
-    paragraph_obs::set_events_enabled(false);
 
     let span_ns = disabled_span_ns(iters);
-    let event_ns = disabled_event_ns(iters);
     // The store cycle takes a mutex twice per request; far fewer iters
     // keep the bench fast while the per-cycle cost stays stable.
     let store_ns = store_not_retained_cycle_ns(iters.min(200_000));
     let mm_secs = matmul_secs(n, reps);
     let overhead_pct = span_ns / (mm_secs * 1e9) * 100.0;
-    let event_pct = event_ns / (mm_secs * 1e9) * 100.0;
     let store_pct = store_ns / (mm_secs * 1e9) * 100.0;
     println!(
-        "obs overhead: disabled span {span_ns:.2} ns, disabled event \
-         {event_ns:.2} ns, store not-retained cycle {store_ns:.2} ns, \
-         {n}x{n} matmul {:.2} us -> span {overhead_pct:.5}% \
-         / event {event_pct:.5}% / store {store_pct:.5}% per instrumented call",
+        "obs overhead: disabled span {span_ns:.2} ns, store not-retained \
+         cycle {store_ns:.2} ns, {n}x{n} matmul {:.2} us -> span \
+         {overhead_pct:.5}% / store {store_pct:.5}% per instrumented call",
         mm_secs * 1e6
     );
     assert!(
         overhead_pct <= 2.0,
         "disabled-path span overhead {overhead_pct:.3}% exceeds the 2% budget \
          ({span_ns:.1} ns per span vs {:.1} us per matmul)",
-        mm_secs * 1e6
-    );
-    assert!(
-        event_pct <= 2.0,
-        "disabled-path event overhead {event_pct:.3}% exceeds the 2% budget \
-         ({event_ns:.1} ns per event vs {:.1} us per matmul)",
         mm_secs * 1e6
     );
     assert!(
@@ -193,12 +145,10 @@ fn write_summary(_c: &mut Criterion) {
         "bench": "obs_overhead",
         "quick_mode": quick,
         "disabled_span_ns": span_ns,
-        "disabled_event_ns": event_ns,
         "store_not_retained_cycle_ns": store_ns,
         "matmul_n": n,
         "matmul_us": mm_secs * 1e6,
         "overhead_pct_per_call": overhead_pct,
-        "event_overhead_pct_per_call": event_pct,
         "store_overhead_pct_per_call": store_pct,
         "budget_pct": 2.0,
     });

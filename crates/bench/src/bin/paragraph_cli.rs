@@ -65,15 +65,6 @@ fn main() {
         ),
         Err(e) => eprintln!("could not write trace: {e}"),
     }
-    // Likewise PARAGRAPH_EVENTS=1 flushes the structured event log.
-    match paragraph_obs::flush_default_events() {
-        Ok(0) => {}
-        Ok(n) => eprintln!(
-            "wrote {n} event records to {}",
-            paragraph_obs::DEFAULT_EVENTS_PATH
-        ),
-        Err(e) => eprintln!("could not write events: {e}"),
-    }
 }
 
 fn usage() -> ! {
@@ -90,12 +81,12 @@ fn usage() -> ! {
          \x20        --queue <n> --cache <n>\n\
          \x20                              one port speaks HTTP/1.1 and JSON\n\
          \x20                              lines (sniffed from the first byte)\n\
-         \x20        --events <path>       periodic event-log flush target\n\
-         \x20                              (env PARAGRAPH_EVENTS_PATH)\n\
-         \x20        --event-sample <n>    log every nth ok request; errors\n\
-         \x20                              and slow requests always logged\n\
-         \x20                              (env PARAGRAPH_EVENT_SAMPLE)\n\
-         \x20        --slow-ms <t>         slow-request threshold in ms\n\
+         \x20        --trace-log <path>    append every retained request to\n\
+         \x20                              this JSONL file every 5 s; turns\n\
+         \x20                              the trace store on\n\
+         \x20                              (env PARAGRAPH_TRACE_LOG)\n\
+         \x20        --slow-ms <t>         slow-request threshold in ms;\n\
+         \x20                              slow requests are always retained\n\
          \x20                              (env PARAGRAPH_SLOW_MS)\n\
          \x20        --precision <f32|int8>  compiled-executor weight\n\
          \x20                              precision; artifact pins win\n\
@@ -122,8 +113,7 @@ fn usage() -> ! {
          \x20                              env PARAGRAPH_TRACE_KEEP)\n\
          \n\
          PARAGRAPH_TRACE=1 records spans to target/trace.json (long-running\n\
-         serve also streams them to target/trace_stream.json);\n\
-         PARAGRAPH_EVENTS=1 records the structured event log"
+         serve also streams them to target/trace_stream.json)"
     );
     std::process::exit(2)
 }
@@ -141,8 +131,7 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
             "workers",
             "queue",
             "cache",
-            "events",
-            "event-sample",
+            "trace-log",
             "slow-ms",
             "precision",
             "shards",
@@ -407,19 +396,18 @@ fn serve(flags: &Flags) {
             std::process::exit(1)
         }
     };
-    let event_sample = u64_flag_env(flags, "event-sample", "PARAGRAPH_EVENT_SAMPLE", 1).max(1);
     let slow_ms = u64_flag_env(flags, "slow-ms", "PARAGRAPH_SLOW_MS", 500);
-    let events_path = flags
-        .get("events")
+    let trace_log_path = flags
+        .get("trace-log")
         .map(str::to_owned)
-        .or_else(|| std::env::var("PARAGRAPH_EVENTS_PATH").ok());
+        .or_else(|| std::env::var("PARAGRAPH_TRACE_LOG").ok());
     let batch_window_us = u64_flag_env(flags, "batch-window-us", "PARAGRAPH_BATCH_WINDOW_US", 0);
-    // Tail-sampled trace store: `--trace-store n` switches it on (n > 1
-    // also sets the retained-ring capacity); a non-numeric
-    // PARAGRAPH_TRACE_STORE like "on" still enables it through
-    // `store_enabled`'s own env fallback.
+    // Tail-sampled trace store: `--trace-store n` or a trace log path
+    // switches it on (n > 1 also sets the retained-ring capacity); a
+    // non-numeric PARAGRAPH_TRACE_STORE like "on" still enables it
+    // through `store_enabled`'s own env fallback.
     let trace_store_flag = u64_flag_env(flags, "trace-store", "PARAGRAPH_TRACE_STORE", 0);
-    if trace_store_flag > 0 {
+    if trace_store_flag > 0 || trace_log_path.is_some() {
         paragraph_obs::set_store_enabled(true);
         if trace_store_flag > 1 {
             paragraph_obs::trace_store().set_capacity(trace_store_flag as usize);
@@ -432,14 +420,14 @@ fn serve(flags: &Flags) {
             "PARAGRAPH_TRACE_KEEP",
             paragraph_obs::DEFAULT_KEEP_ONE_IN,
         );
-        let store = paragraph_obs::trace_store();
-        store.set_keep_one_in(trace_keep);
-        // The store's own slow cutoff tracks the event log's, so a
-        // request logged slow is also always retained.
-        store.set_slow_threshold_us(slow_ms as f64 * 1000.0);
+        paragraph_obs::trace_store().set_keep_one_in(trace_keep);
         eprintln!(
-            "trace store on: keeping slow/error/shed/ood requests plus 1/{trace_keep} sampled, \
-             serving /debug/traces on the gateway"
+            "trace store on: keeping slow (>= {slow_ms} ms)/error/shed/ood requests plus \
+             1/{trace_keep} sampled, serving /debug/traces on the gateway{}",
+            trace_log_path
+                .as_deref()
+                .map(|p| format!(", logging to {p}"))
+                .unwrap_or_default()
         );
     }
     let queue = flags.u64_or("queue", 64).max(1);
@@ -448,7 +436,6 @@ fn serve(flags: &Flags) {
         queue_capacity: u64_flag_env(flags, "max-queue", "PARAGRAPH_MAX_QUEUE", queue).max(1)
             as usize,
         cache_capacity: flags.u64_or("cache", 256) as usize,
-        event_sample,
         slow_threshold: Duration::from_millis(slow_ms),
         batch_window: Duration::from_micros(batch_window_us),
         ..ServiceConfig::default()
@@ -460,56 +447,35 @@ fn serve(flags: &Flags) {
         snapshot.keys().join(", "),
         precision.name()
     );
-    if paragraph_obs::events_enabled() {
-        eprintln!(
-            "event log on: sampling 1/{event_sample} ok requests, slow threshold {slow_ms} ms{}",
-            events_path
-                .as_deref()
-                .map(|p| format!(", flushing to {p}"))
-                .unwrap_or_default()
-        );
-    }
-    // Periodically flush buffered event records so a long-running server
-    // doesn't hold (or drop) them until shutdown. Harmless when the
-    // event log is disabled: there is nothing to write.
-    if let Some(path) = events_path {
-        let path = PathBuf::from(path);
+    // One flusher, every 5 s: appends newly retained requests to the
+    // trace log and, with tracing on, streams completed spans to an
+    // appendable Chrome-trace array. A long-running server never
+    // reaches the exit-time flush and the span buffers are unbounded,
+    // so both must drain while it runs; a crash loses one period.
+    let mut trace_log = trace_log_path.map(|p| (paragraph_serve::TraceLog::new(&p), p));
+    let mut stream_spans = paragraph_obs::enabled();
+    if trace_log.is_some() || stream_spans {
         std::thread::Builder::new()
-            .name("event-flusher".into())
-            .spawn(move || loop {
-                std::thread::sleep(Duration::from_secs(5));
-                match paragraph_obs::write_events(&path) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!("event-log flush to {} failed: {e}", path.display());
-                        return;
+            .name("obs-flusher".into())
+            .spawn(move || {
+                while trace_log.is_some() || stream_spans {
+                    std::thread::sleep(Duration::from_secs(5));
+                    if let Some((log, path)) = &mut trace_log {
+                        if let Err(e) = log.flush(paragraph_obs::trace_store()) {
+                            eprintln!("trace log flush to {path} failed: {e}");
+                            trace_log = None;
+                        }
+                    }
+                    let stream = paragraph_obs::DEFAULT_TRACE_STREAM_PATH;
+                    if stream_spans {
+                        if let Err(e) = paragraph_obs::append_trace_events(stream) {
+                            eprintln!("trace flush to {stream} failed: {e}");
+                            stream_spans = false;
+                        }
                     }
                 }
             })
-            .expect("spawn event flusher");
-    }
-    // With tracing on, stream completed spans to an appendable
-    // Chrome-trace array every few seconds. Without this, spans
-    // buffered by worker threads would only surface at process exit —
-    // which a long-running server never reaches — and a crash would
-    // lose them all.
-    if paragraph_obs::enabled() {
-        std::thread::Builder::new()
-            .name("trace-flusher".into())
-            .spawn(move || loop {
-                std::thread::sleep(Duration::from_secs(5));
-                match paragraph_obs::append_trace_events(paragraph_obs::DEFAULT_TRACE_STREAM_PATH) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!(
-                            "trace flush to {} failed: {e}",
-                            paragraph_obs::DEFAULT_TRACE_STREAM_PATH
-                        );
-                        return;
-                    }
-                }
-            })
-            .expect("spawn trace flusher");
+            .expect("spawn flusher");
     }
     // The sharded gateway: HTTP/1.1 keep-alive and JSON lines on one
     // port with protocol sniffing, N thread-per-core shards.

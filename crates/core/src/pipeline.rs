@@ -526,7 +526,7 @@ impl TargetModel {
     }
 
     /// Predicts every applicable node of several fresh schematics in one
-    /// forward pass over their block-diagonal [`GraphBatch`] union, then
+    /// forward pass over their block-diagonal [`paragraph_gnn::GraphBatch`] union, then
     /// splits the results back per circuit — exactly equal to calling
     /// [`TargetModel::predict_circuit`] on each.
     pub fn predict_circuits(&self, circuits: &[&Circuit]) -> Vec<Vec<Option<f64>>> {

@@ -55,6 +55,15 @@ fn alloc_count() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// The zero-allocation contract holds with tracing off: an enabled span
+/// recorder allocates its own records. `PARAGRAPH_TRACE` and
+/// `PARAGRAPH_TRACE_STORE` may have switched tracing and the trace store
+/// on, so counting tests switch both off first.
+fn tracing_off() {
+    paragraph_obs::set_enabled(false);
+    paragraph_obs::set_store_enabled(false);
+}
+
 fn small_graph() -> (GraphSchema, HeteroGraph) {
     let schema = GraphSchema {
         node_feat_dims: vec![2, 4],
@@ -122,6 +131,7 @@ fn member_graph(seed: usize) -> HeteroGraph {
 /// changing between calls.
 #[test]
 fn steady_state_batched_predict_is_allocation_free() {
+    tracing_off();
     let members: Vec<HeteroGraph> = (0..6).map(member_graph).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let locals: Vec<Vec<u32>> = members
@@ -164,6 +174,7 @@ fn steady_state_batched_predict_is_allocation_free() {
 
 #[test]
 fn steady_state_predict_is_allocation_free() {
+    tracing_off();
     let (schema, graph) = small_graph();
     // Pre-build the cached GraphPlan so plan compilation is not charged
     // to the request path (serve reuses the plan exactly like this).

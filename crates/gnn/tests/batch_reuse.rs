@@ -48,6 +48,15 @@ fn alloc_count() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// The zero-allocation contract holds with tracing off: an enabled span
+/// recorder allocates its own records. `PARAGRAPH_TRACE` and
+/// `PARAGRAPH_TRACE_STORE` may have switched tracing and the trace store
+/// on, so counting tests switch both off first.
+fn tracing_off() {
+    paragraph_obs::set_enabled(false);
+    paragraph_obs::set_store_enabled(false);
+}
+
 fn schema() -> GraphSchema {
     GraphSchema {
         node_feat_dims: vec![2, 3],
@@ -128,6 +137,7 @@ fn reused_assembly_matches_fresh_batch() {
 
 #[test]
 fn steady_state_assembly_is_allocation_free() {
+    tracing_off();
     let members: Vec<HeteroGraph> = (0..8).map(member).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let windows = [&refs[..4], &refs[4..8], &refs[2..6], &refs[..8]];

@@ -1,6 +1,6 @@
 //! Std-only observability layer for the ParaGraph workspace.
 //!
-//! Six pieces, one crate, zero dependencies:
+//! Five pieces, one crate, zero dependencies:
 //!
 //! * **Spans** — [`span!`] opens an RAII guard with monotonic timing;
 //!   nested guards form a hierarchy. Guards are inert unless tracing is
@@ -16,13 +16,6 @@
 //!   process-wide [`global`] registry collects training/tensor/runtime
 //!   metrics; `paragraph-serve` layers its per-service registry on top
 //!   and exports both through one endpoint.
-//! * **Event log** — [`Event`] builds one structured JSONL record per
-//!   occurrence (request served, slow request, ...), buffered per
-//!   thread under a bounded capacity with drop counting, gated by
-//!   `PARAGRAPH_EVENTS` / [`set_events_enabled`] with the same
-//!   one-relaxed-load disabled path and `trace`-feature compile-out as
-//!   spans. [`write_events`] appends the drained lines to a `.jsonl`
-//!   file.
 //! * **Trace store** — [`trace_store`] keeps a bounded ring of
 //!   completed per-request span trees with **tail-based retention**
 //!   (decide keep/drop after the outcome is known: slow, error, shed,
@@ -44,16 +37,11 @@
 
 #![warn(missing_docs)]
 
-mod events;
 mod metrics;
 mod quantile;
 mod store;
 mod trace;
 
-pub use events::{
-    dropped_events, events_enabled, pending_event_lines, set_event_capacity, set_events_enabled,
-    take_event_lines, write_events, Event, DEFAULT_EVENT_CAPACITY,
-};
 pub use metrics::{escape_label_value, global, Counter, Gauge, Histogram, Labels, Registry};
 pub use quantile::{RollingQuantile, RENDERED_QUANTILES};
 pub use store::{
@@ -74,20 +62,6 @@ pub const DEFAULT_TRACE_PATH: &str = "target/trace.json";
 /// kept separate from [`DEFAULT_TRACE_PATH`] so the exit-time flush
 /// still produces a complete JSON object.
 pub const DEFAULT_TRACE_STREAM_PATH: &str = "target/trace_stream.json";
-
-/// Default event-log location, relative to the working directory.
-pub const DEFAULT_EVENTS_PATH: &str = "target/events.jsonl";
-
-/// Appends buffered event-log lines to [`DEFAULT_EVENTS_PATH`] when the
-/// event log is enabled; a no-op (returning `Ok(0)`) otherwise.
-/// Binaries call this once at exit so `PARAGRAPH_EVENTS=1 <binary>`
-/// always leaves a `target/events.jsonl` behind.
-pub fn flush_default_events() -> std::io::Result<usize> {
-    if !events_enabled() && pending_event_lines() == 0 {
-        return Ok(0);
-    }
-    write_events(DEFAULT_EVENTS_PATH)
-}
 
 /// Writes buffered trace events to [`DEFAULT_TRACE_PATH`] when tracing
 /// is enabled; a no-op (returning `Ok(0)`) otherwise. Binaries call

@@ -16,14 +16,14 @@
 //! * [`TraceStore`] — a bounded ring of *completed* request traces with
 //!   **tail-based retention**: the keep/drop decision is made in
 //!   [`complete`](TraceStore::complete), after the outcome is known.
-//!   Slow (above the configured threshold *or* the rolling p99), error,
+//!   Slow (flagged by the caller *or* above the rolling p99), error,
 //!   shed (503/504), and OOD-flagged requests are always retained;
 //!   the rest are sampled 1-in-N by a deterministic hash of the request
-//!   id ([`sampler_keeps`]). Per-reason retention counters and span
-//!   drop accounting mirror [`dropped_events`](crate::dropped_events).
+//!   id ([`sampler_keeps`]). Retention is counted per reason, and spans
+//!   and traces that overflow a bound are dropped and counted.
 //! * The process-wide [`trace_store`], gated by `PARAGRAPH_TRACE_STORE`
 //!   / [`set_store_enabled`] with the same one-relaxed-load disabled
-//!   path and `trace`-feature compile-out as spans and events.
+//!   path and `trace`-feature compile-out as spans.
 //!
 //! The store holds structured [`TraceEvent`]s, not rendered JSON; the
 //! serving layer renders the index and per-request Chrome-trace
@@ -45,7 +45,7 @@ pub const DEFAULT_STORE_CAPACITY: usize = 256;
 pub const DEFAULT_KEEP_ONE_IN: u64 = 16;
 
 /// Bound on spans collected for one in-flight request; further spans
-/// are dropped and counted, mirroring the event-log overflow policy.
+/// are dropped and counted.
 pub const MAX_SPANS_PER_TRACE: usize = 512;
 
 /// Bound on concurrently collected (not yet completed) requests.
@@ -209,7 +209,8 @@ impl Drop for ContextGuard {
 /// Why a completed request's trace was retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetainReason {
-    /// Latency exceeded the slow threshold or the rolling p99.
+    /// The caller flagged the request slow, or its latency exceeded
+    /// the rolling p99.
     Slow,
     /// The request failed (any error envelope short of shedding).
     Error,
@@ -256,8 +257,8 @@ pub struct RequestOutcome {
     pub ok: bool,
     /// Whether it was shed under load (maps to HTTP 503/504).
     pub shed: bool,
-    /// Whether the serving layer's own slow threshold already fired
-    /// (OR-ed with the store's threshold and rolling-p99 tests).
+    /// Whether the serving layer's slow threshold fired (OR-ed with
+    /// the store's rolling-p99 test).
     pub slow: bool,
     /// Whether the drift monitor flagged the inputs OOD.
     pub ood: bool,
@@ -265,6 +266,12 @@ pub struct RequestOutcome {
     pub total_us: f64,
     /// Per-stage latency breakdown (`parse_us`, `queue_wait_us`, ...).
     pub stages: Vec<(String, f64)>,
+    /// The model key a predict resolved to.
+    pub model: Option<String>,
+    /// Whether a predict was answered from the prediction cache.
+    pub cache_hit: Option<bool>,
+    /// How many requests shared the forward pass, when more than one.
+    pub batched: Option<u64>,
 }
 
 impl Default for RequestOutcome {
@@ -277,6 +284,9 @@ impl Default for RequestOutcome {
             ood: false,
             total_us: 0.0,
             stages: Vec::new(),
+            model: None,
+            cache_hit: None,
+            batched: None,
         }
     }
 }
@@ -300,12 +310,39 @@ pub struct RetainedTrace {
     pub completed_ts_us: f64,
     /// Per-stage latency breakdown.
     pub stages: Vec<(String, f64)>,
+    /// The model key a predict resolved to.
+    pub model: Option<String>,
+    /// Whether a predict was answered from the prediction cache.
+    pub cache_hit: Option<bool>,
+    /// How many requests shared the forward pass, when more than one.
+    pub batched: Option<u64>,
     /// The request's spans, ordered by start timestamp.
     pub spans: Vec<TraceEvent>,
     /// Spans dropped for this request (per-trace span cap).
     pub dropped_spans: u64,
     /// Monotone completion sequence number (eviction/order key).
     pub seq: u64,
+}
+
+impl RetainedTrace {
+    /// The index-level view of this trace.
+    pub fn summary(&self) -> TraceSummary {
+        TraceSummary {
+            request_id: self.request_id.clone(),
+            shard: self.shard,
+            op: self.op.clone(),
+            reason: self.reason,
+            ok: self.ok,
+            total_us: self.total_us,
+            completed_ts_us: self.completed_ts_us,
+            stages: self.stages.clone(),
+            model: self.model.clone(),
+            cache_hit: self.cache_hit,
+            batched: self.batched,
+            span_count: self.spans.len(),
+            seq: self.seq,
+        }
+    }
 }
 
 /// Index-level view of a retained trace (no spans).
@@ -327,6 +364,12 @@ pub struct TraceSummary {
     pub completed_ts_us: f64,
     /// Per-stage latency breakdown.
     pub stages: Vec<(String, f64)>,
+    /// The model key a predict resolved to.
+    pub model: Option<String>,
+    /// Whether a predict was answered from the prediction cache.
+    pub cache_hit: Option<bool>,
+    /// How many requests shared the forward pass, when more than one.
+    pub batched: Option<u64>,
     /// Number of spans in the retained tree.
     pub span_count: usize,
     /// Monotone completion sequence number.
@@ -385,8 +428,6 @@ pub struct TraceStore {
     inner: Mutex<StoreInner>,
     capacity: AtomicUsize,
     keep_one_in: AtomicU64,
-    /// f64 bits of the slow threshold in µs.
-    slow_threshold_us: AtomicU64,
     completed: AtomicU64,
     retained: [AtomicU64; RetainReason::ALL.len()],
     not_retained: AtomicU64,
@@ -401,8 +442,7 @@ impl Default for TraceStore {
 }
 
 impl TraceStore {
-    /// A store with default capacity, sampling rate, and no slow
-    /// threshold (the rolling p99 still applies).
+    /// A store with default capacity and sampling rate.
     pub fn new() -> Self {
         Self {
             inner: Mutex::new(StoreInner {
@@ -414,7 +454,6 @@ impl TraceStore {
             }),
             capacity: AtomicUsize::new(DEFAULT_STORE_CAPACITY),
             keep_one_in: AtomicU64::new(DEFAULT_KEEP_ONE_IN),
-            slow_threshold_us: AtomicU64::new(f64::INFINITY.to_bits()),
             completed: AtomicU64::new(0),
             retained: Default::default(),
             not_retained: AtomicU64::new(0),
@@ -448,14 +487,6 @@ impl TraceStore {
     /// The sampling rate (keep one in N; `0` = never).
     pub fn keep_one_in(&self) -> u64 {
         self.keep_one_in.load(Ordering::Relaxed)
-    }
-
-    /// Sets the slow-retention threshold in microseconds (requests at
-    /// or above it are always retained). `INFINITY` leaves only the
-    /// rolling-p99 test.
-    pub fn set_slow_threshold_us(&self, us: f64) {
-        self.slow_threshold_us
-            .store(us.to_bits(), Ordering::Relaxed);
     }
 
     /// Starts collecting spans for a request. Idempotent per id; a
@@ -517,7 +548,6 @@ impl TraceStore {
             return None;
         }
         let keep_one_in = self.keep_one_in.load(Ordering::Relaxed);
-        let slow_threshold = f64::from_bits(self.slow_threshold_us.load(Ordering::Relaxed));
         let mut inner = lock(&self.inner);
         let active = inner.active.remove(request_id);
         let p99 = if inner.rolling.window_len() >= P99_MIN_WINDOW {
@@ -531,7 +561,7 @@ impl TraceStore {
             Some(RetainReason::Shed)
         } else if !outcome.ok {
             Some(RetainReason::Error)
-        } else if outcome.slow || outcome.total_us >= slow_threshold || outcome.total_us > p99 {
+        } else if outcome.slow || outcome.total_us > p99 {
             Some(RetainReason::Slow)
         } else if outcome.ood {
             Some(RetainReason::Ood)
@@ -561,6 +591,9 @@ impl TraceStore {
             total_us: outcome.total_us,
             completed_ts_us: epoch().elapsed().as_secs_f64() * 1e6,
             stages: outcome.stages,
+            model: outcome.model,
+            cache_hit: outcome.cache_hit,
+            batched: outcome.batched,
             spans,
             dropped_spans: dropped,
             seq,
@@ -582,18 +615,7 @@ impl TraceStore {
             .ring
             .iter()
             .rev()
-            .map(|t| TraceSummary {
-                request_id: t.request_id.clone(),
-                shard: t.shard,
-                op: t.op.clone(),
-                reason: t.reason,
-                ok: t.ok,
-                total_us: t.total_us,
-                completed_ts_us: t.completed_ts_us,
-                stages: t.stages.clone(),
-                span_count: t.spans.len(),
-                seq: t.seq,
-            })
+            .map(RetainedTrace::summary)
             .collect()
     }
 
@@ -699,8 +721,16 @@ mod tests {
         }
     }
 
-    /// A private store with sampling off and no slow threshold: nothing
-    /// is retained unless a test opts in.
+    /// A request the serving layer flagged slow.
+    fn slow(total_us: f64) -> RequestOutcome {
+        RequestOutcome {
+            slow: true,
+            ..outcome("predict", total_us)
+        }
+    }
+
+    /// A private store with sampling off: nothing is retained unless a
+    /// test opts in.
     fn quiet_store() -> TraceStore {
         let store = TraceStore::new();
         store.set_keep_one_in(0);
@@ -732,7 +762,6 @@ mod tests {
         let _guard = test_flag_lock();
         set_store_enabled(true);
         let store = quiet_store();
-        store.set_slow_threshold_us(1000.0);
         let shed = RequestOutcome {
             ok: false,
             shed: true,
@@ -745,7 +774,7 @@ mod tests {
         };
         assert_eq!(store.complete("req-err", err), Some(RetainReason::Error));
         assert_eq!(
-            store.complete("req-slow", outcome("predict", 5000.0)),
+            store.complete("req-slow", slow(5000.0)),
             Some(RetainReason::Slow)
         );
         let ood = RequestOutcome {
@@ -755,8 +784,14 @@ mod tests {
         assert_eq!(store.complete("req-ood", ood), Some(RetainReason::Ood));
         assert_eq!(store.complete("req-fast", outcome("predict", 10.0)), None);
         store.set_keep_one_in(1);
+        let kept = RequestOutcome {
+            model: Some("cap_1f".into()),
+            cache_hit: Some(false),
+            batched: Some(3),
+            ..outcome("predict", 10.0)
+        };
         assert_eq!(
-            store.complete("req-kept", outcome("predict", 10.0)),
+            store.complete("req-kept", kept),
             Some(RetainReason::Sampled)
         );
         let counters = store.counters();
@@ -768,7 +803,15 @@ mod tests {
             counters.retained_total() + counters.not_retained,
             "per-reason counters sum to total completed"
         );
-        assert_eq!(store.summaries().len(), 5);
+        let summaries = store.summaries();
+        assert_eq!(summaries.len(), 5);
+        // The request record travels with the retained trace.
+        let newest = &summaries[0];
+        assert_eq!(newest.request_id, "req-kept");
+        assert_eq!(
+            (newest.model.as_deref(), newest.cache_hit, newest.batched),
+            (Some("cap_1f"), Some(false), Some(3))
+        );
         // Precedence: a shed request that is also slow and OOD counts
         // once, as shed.
         let mixed = RequestOutcome {
@@ -819,9 +862,8 @@ mod tests {
         set_store_enabled(true);
         let store = quiet_store();
         store.set_capacity(3);
-        store.set_slow_threshold_us(100.0);
         assert_eq!(
-            store.complete("req-slow-1", outcome("predict", 200.0)),
+            store.complete("req-slow-1", slow(200.0)),
             Some(RetainReason::Slow)
         );
         store.set_keep_one_in(1);
@@ -831,13 +873,13 @@ mod tests {
         );
         store.set_keep_one_in(0);
         assert_eq!(
-            store.complete("req-slow-2", outcome("predict", 200.0)),
+            store.complete("req-slow-2", slow(200.0)),
             Some(RetainReason::Slow)
         );
         // Overflow: the sampled entry goes first even though a slow one
         // is older.
         assert_eq!(
-            store.complete("req-slow-3", outcome("predict", 200.0)),
+            store.complete("req-slow-3", slow(200.0)),
             Some(RetainReason::Slow)
         );
         let ids: Vec<String> = store
@@ -849,7 +891,7 @@ mod tests {
         assert_eq!(store.counters().evicted, 1);
         // All force-retained: the oldest overall goes.
         assert_eq!(
-            store.complete("req-slow-4", outcome("predict", 200.0)),
+            store.complete("req-slow-4", slow(200.0)),
             Some(RetainReason::Slow)
         );
         let ids: Vec<String> = store
@@ -892,7 +934,6 @@ mod tests {
         let store = trace_store();
         store.reset();
         store.set_keep_one_in(0);
-        store.set_slow_threshold_us(f64::INFINITY);
         store.begin("req-a", Some(1));
         store.begin("req-b", Some(1));
         {
@@ -913,12 +954,14 @@ mod tests {
         // Tracing stayed off: nothing landed in the global trace
         // buffers, only in the store.
         assert_eq!(crate::pending_events(), 0);
-        let slow = || RequestOutcome {
-            slow: true,
-            ..outcome("predict", 10.0)
-        };
-        assert_eq!(store.complete("req-a", slow()), Some(RetainReason::Slow));
-        assert_eq!(store.complete("req-b", slow()), Some(RetainReason::Slow));
+        assert_eq!(
+            store.complete("req-a", slow(10.0)),
+            Some(RetainReason::Slow)
+        );
+        assert_eq!(
+            store.complete("req-b", slow(10.0)),
+            Some(RetainReason::Slow)
+        );
         let a = store.get("req-a").expect("req-a retained");
         let names: Vec<&str> = a.spans.iter().map(|e| e.name).collect();
         assert_eq!(names, ["parse", "batch_inference"]);
@@ -953,11 +996,7 @@ mod tests {
         for _ in 0..MAX_SPANS_PER_TRACE + 5 {
             store.record(&ctx, &event);
         }
-        let slow = RequestOutcome {
-            slow: true,
-            ..outcome("predict", 1.0)
-        };
-        store.complete("req-big", slow);
+        store.complete("req-big", slow(1.0));
         let t = store.get("req-big").unwrap();
         assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
         assert_eq!(t.dropped_spans, 5);

@@ -105,16 +105,17 @@ fn epoch_anchor() -> &'static EpochAnchor {
 }
 
 /// Process-wide monotonic epoch every timestamp is measured from.
-/// Shared with the event log so event `ts_us` and span `ts` correlate.
+/// Shared with the trace store so retained-trace and span timestamps
+/// correlate.
 pub(crate) fn epoch() -> Instant {
     epoch_anchor().instant
 }
 
 /// The wall-clock time (nanoseconds since the unix epoch) at which the
-/// shared span/event epoch was captured. Every `ts_us` in the trace
-/// file, the event log, and the trace store is an offset from this
-/// anchor, so `unix_ns = epoch_unix_nanos() + ts_us * 1000` correlates
-/// all three with external timelines.
+/// shared span epoch was captured. Every `ts_us` in the trace file and
+/// the trace store is an offset from this anchor, so
+/// `unix_ns = epoch_unix_nanos() + ts_us * 1000` correlates both with
+/// external timelines.
 pub fn epoch_unix_nanos() -> u64 {
     epoch_anchor().unix_nanos
 }

@@ -1,5 +1,6 @@
 //! The gateway's live ops surface: `/debug/traces`,
-//! `/debug/traces/<req-id>`, and `/debug/dashboard`.
+//! `/debug/traces/<req-id>`, and `/debug/dashboard`, plus the
+//! [`TraceLog`] that persists the same retained records to a file.
 //!
 //! The trace endpoints read the process-wide
 //! [`paragraph_obs::trace_store`] — one store shared by every shard,
@@ -11,12 +12,15 @@
 //! external assets: `curl | w3m` works as well as a browser.
 
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
+use std::path::PathBuf;
 use std::sync::Arc;
 
+use paragraph_obs::{TraceStore, TraceSummary};
 use serde_json::{json, Value};
 
 use crate::metrics::PRECISION_NAMES;
-use crate::service::Service;
+use crate::service::{stages_json, Service};
 
 /// How many retained traces the index and dashboard list (newest
 /// first). The full ring stays addressable by request id.
@@ -38,24 +42,7 @@ pub(crate) fn traces_index() -> Value {
         .summaries()
         .iter()
         .take(INDEX_LIMIT)
-        .map(|s| {
-            let mut stages = serde_json::Map::new();
-            for (k, v) in &s.stages {
-                stages.insert(k.clone(), json!(*v));
-            }
-            json!({
-                "request_id": s.request_id.clone(),
-                "shard": s.shard,
-                "op": s.op.clone(),
-                "reason": s.reason.name(),
-                "ok": s.ok,
-                "total_us": s.total_us,
-                "completed_ts_us": s.completed_ts_us,
-                "stages": Value::Object(stages),
-                "span_count": s.span_count as u64,
-                "seq": s.seq,
-            })
-        })
+        .map(summary_json)
         .collect();
     json!({
         "enabled": paragraph_obs::store_enabled(),
@@ -74,34 +61,125 @@ pub(crate) fn traces_index() -> Value {
     })
 }
 
+/// One retained request as the `/debug/traces` index and the trace log
+/// both render it.
+fn summary_json(s: &TraceSummary) -> Value {
+    json!({
+        "request_id": s.request_id.clone(),
+        "shard": s.shard,
+        "op": s.op.clone(),
+        "reason": s.reason.name(),
+        "ok": s.ok,
+        "model": s.model.clone(),
+        "cache_hit": s.cache_hit,
+        "batched": s.batched,
+        "total_us": s.total_us,
+        "completed_ts_us": s.completed_ts_us,
+        "stages": stages_json(&s.stages),
+        "span_count": s.span_count as u64,
+        "seq": s.seq,
+    })
+}
+
 /// `GET /debug/traces/<req-id>`: the full span tree of one retained
 /// trace as a Chrome-trace-compatible object (`traceEvents` +
 /// `displayTimeUnit`, loadable in `chrome://tracing` / Perfetto) with
-/// the request's metadata as extra top-level keys, which trace viewers
-/// ignore. `None` when the id is unknown (expired from the ring or
-/// never retained).
+/// the request's index entry as extra top-level keys, which trace
+/// viewers ignore. `None` when the id is unknown (expired from the ring
+/// or never retained).
 pub(crate) fn trace_detail(request_id: &str) -> Option<Value> {
     let trace = paragraph_obs::trace_store().get(request_id)?;
     let rendered = paragraph_obs::render_chrome_trace(&trace.spans);
     let mut doc =
         serde_json::from_str::<Value>(&rendered).expect("rendered chrome trace parses as JSON");
-    let mut stages = serde_json::Map::new();
-    for (k, v) in &trace.stages {
-        stages.insert(k.clone(), json!(*v));
-    }
-    if let Value::Object(obj) = &mut doc {
-        obj.insert("request_id", json!(trace.request_id.clone()));
-        obj.insert("shard", json!(trace.shard));
-        obj.insert("op", json!(trace.op.clone()));
-        obj.insert("reason", json!(trace.reason.name()));
-        obj.insert("ok", json!(trace.ok));
-        obj.insert("total_us", json!(trace.total_us));
-        obj.insert("completed_ts_us", json!(trace.completed_ts_us));
+    if let (Value::Object(obj), Value::Object(summary)) = (&mut doc, summary_json(&trace.summary()))
+    {
+        for (k, v) in summary.iter() {
+            obj.insert(k.clone(), v.clone());
+        }
         obj.insert("epoch_unix_ns", json!(paragraph_obs::epoch_unix_nanos()));
-        obj.insert("stages", Value::Object(stages));
         obj.insert("dropped_spans", json!(trace.dropped_spans));
     }
     Some(doc)
+}
+
+/// Appends the trace store's retained requests to a JSONL file: one
+/// line per retained request, in completion order, each the same object
+/// the `/debug/traces` index renders for it. A log's first write opens
+/// with a header line carrying the shared `epoch_unix_ns`, so a new
+/// file starts with one and a restarted server appending to an old file
+/// marks where its timestamps' epoch changes. Requests the ring
+/// evicted before a round could write them leave a gap in `seq`, which
+/// is written as one `{"kind":"skipped","count":n}` line, so the log
+/// never hides a loss.
+#[derive(Debug)]
+pub struct TraceLog {
+    path: PathBuf,
+    /// The lowest `seq` not yet written (or skipped).
+    next_seq: u64,
+    /// Whether the header line has been written.
+    started: bool,
+}
+
+impl TraceLog {
+    /// A log appending to `path`; nothing is written until
+    /// [`flush`](Self::flush).
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        Self {
+            path: path.into(),
+            next_seq: 0,
+            started: false,
+        }
+    }
+
+    /// One flush round: appends every trace `store` retains with a
+    /// `seq` this log has not reached yet, oldest first. Returns the
+    /// number of retained requests written.
+    ///
+    /// # Errors
+    ///
+    /// Creating or appending to the file failed; nothing counts as
+    /// written, so the next round retries the same records.
+    pub fn flush(&mut self, store: &TraceStore) -> io::Result<usize> {
+        let mut fresh: Vec<TraceSummary> = store
+            .summaries()
+            .into_iter()
+            .filter(|s| s.seq >= self.next_seq)
+            .collect();
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        fresh.sort_by_key(|s| s.seq);
+        if let Some(parent) = self.path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)?;
+            }
+        }
+        let mut body = String::new();
+        let mut line = |v: Value| {
+            body.push_str(&serde_json::to_string(&v).expect("trace log line serialises"));
+            body.push('\n');
+        };
+        if !self.started {
+            line(json!({"kind": "header", "epoch_unix_ns": paragraph_obs::epoch_unix_nanos()}));
+        }
+        let mut next_seq = self.next_seq;
+        for s in &fresh {
+            if s.seq > next_seq {
+                line(json!({"kind": "skipped", "count": s.seq - next_seq}));
+            }
+            line(summary_json(s));
+            next_seq = s.seq + 1;
+        }
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?
+            .write_all(body.as_bytes())?;
+        self.next_seq = next_seq;
+        self.started = true;
+        Ok(fresh.len())
+    }
 }
 
 /// `GET /debug/dashboard`: one self-contained HTML page over every
@@ -402,6 +480,93 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every retained request reaches the log exactly once, in `seq`
+    /// order, and nothing else does; records the ring evicted between
+    /// rounds surface as one `skipped` line with their count.
+    #[test]
+    fn trace_log_writes_each_retained_request_once() {
+        let was_enabled = paragraph_obs::store_enabled();
+        paragraph_obs::set_store_enabled(true);
+        let store = TraceStore::new();
+        store.set_keep_one_in(0); // only errors are retained
+        let mut retained = Vec::new();
+        let mut complete = |id: &str, ok: bool| {
+            let outcome = paragraph_obs::RequestOutcome {
+                op: "predict".into(),
+                ok,
+                ..Default::default()
+            };
+            if store.complete(id, outcome).is_some() {
+                retained.push(id.to_owned());
+            }
+        };
+        let path =
+            std::env::temp_dir().join(format!("paragraph-trace-log-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut log = TraceLog::new(&path);
+
+        // Round 1: two errors retained, two ok requests sampled out.
+        for (i, ok) in [true, false, true, false].into_iter().enumerate() {
+            complete(&format!("req-{i}"), ok);
+        }
+        assert_eq!(log.flush(&store).unwrap(), 2);
+        // Round 2: nothing new, nothing written.
+        assert_eq!(log.flush(&store).unwrap(), 0);
+        // Round 3: six more retained into a 3-slot ring; the oldest
+        // three are evicted before the round writes them.
+        store.set_capacity(3);
+        for i in 4..10 {
+            complete(&format!("req-{i}"), false);
+        }
+        assert_eq!(log.flush(&store).unwrap(), 3);
+        // Round 4: one more.
+        complete("req-10", false);
+        assert_eq!(log.flush(&store).unwrap(), 1);
+        let newest = serde_json::to_string(&summary_json(&store.summaries()[0])).unwrap();
+        paragraph_obs::set_store_enabled(was_enabled);
+
+        let body = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<Value> = body
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("log line parses"))
+            .collect();
+        assert_eq!(lines[0]["kind"].as_str(), Some("header"), "{body}");
+        assert!(lines[0]["epoch_unix_ns"].as_u64().is_some(), "{body}");
+        let rendered: Vec<String> = lines[1..]
+            .iter()
+            .map(|l| match l["kind"].as_str() {
+                Some("skipped") => format!("skipped {}", l["count"].as_u64().unwrap()),
+                _ => format!(
+                    "{} seq {}",
+                    l["request_id"].as_str().unwrap(),
+                    l["seq"].as_u64().unwrap()
+                ),
+            })
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "req-1 seq 0",
+                "req-3 seq 1",
+                "skipped 3",
+                "req-7 seq 5",
+                "req-8 seq 6",
+                "req-9 seq 7",
+                "req-10 seq 8",
+            ]
+        );
+        // Written plus skipped is exactly what the store retained.
+        let written: Vec<&str> = lines[1..]
+            .iter()
+            .filter_map(|l| l["request_id"].as_str())
+            .collect();
+        assert!(written.iter().all(|id| retained.iter().any(|r| r == id)));
+        assert_eq!(written.len() + 3, retained.len());
+        // Each line is the object the `/debug/traces` index renders.
+        assert_eq!(body.lines().last(), Some(newest.as_str()));
+    }
 
     #[test]
     fn escape_neutralises_markup() {

@@ -43,6 +43,7 @@ use crate::protocol::Op;
 use crate::registry::ModelRegistry;
 use crate::service::{Service, ServiceConfig};
 use conn::Conn;
+pub use debug::TraceLog;
 
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]

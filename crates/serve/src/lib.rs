@@ -26,6 +26,9 @@
 //! * [`Gateway`] — sharded evented front end: N thread-per-core shards,
 //!   each with its own [`Service`], speaking HTTP/1.1 keep-alive and
 //!   JSON-lines on one port via first-byte protocol sniffing.
+//! * [`TraceLog`] — appends every request the process-wide trace store
+//!   retains to a JSONL file, one line per request, the same objects the
+//!   gateway's `/debug/traces` index serves.
 //!
 //! See `docs/serving.md` in the repository root for the wire protocol.
 //!
@@ -52,7 +55,7 @@ mod service;
 
 pub use cache::{fnv1a, PredictionCache};
 pub use drift::{DriftConfig, DriftMonitor};
-pub use gateway::{BackoffConfig, Gateway, GatewayConfig, GatewayHandle};
+pub use gateway::{BackoffConfig, Gateway, GatewayConfig, GatewayHandle, TraceLog};
 pub use metrics::{Metrics, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US, ROLLING_WINDOW};
 pub use protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeError};
 pub use registry::{

@@ -1,19 +1,21 @@
 //! The in-process service: a fixed worker pool behind a bounded queue,
 //! with per-request deadlines, panic isolation, caching, and metrics.
 //!
-//! [`Service::call`] is the single entry point both for in-process
-//! embedders and for the TCP front end ([`crate::server`]). Heavy
-//! operations (`predict`, `stats`, `erc`) are executed on the worker
-//! pool; control-plane operations (`health`, `metrics`, `reload`) are
+//! In-process embedders call [`Service::call`]; the sharded gateway
+//! ([`crate::Gateway`]) drives one service per shard through
+//! [`Service::submit_line`] and [`Service::poll`]. Heavy operations
+//! (`predict`, `stats`, `erc`) are executed on the worker pool;
+//! control-plane operations (`health`, `metrics`, `reload`) are
 //! answered inline so they stay responsive when the queue is full.
 //!
-//! Every request gets a service-unique ID (`req-<n>`), runs under a
-//! `serve_request` span, and can leave one structured event-log record
-//! ([`paragraph_obs::Event`]) carrying the per-stage latency breakdown
-//! (parse → cache lookup → queue wait → graph build → inference).
-//! Clients sending `"debug": true` get the same breakdown attached to
-//! the response under `debug`; the `result` payload itself is never
-//! perturbed by instrumentation.
+//! Every request gets a process-unique ID (`req-<n>`), runs under a
+//! `serve_request` span, and ends as one record
+//! ([`paragraph_obs::RequestOutcome`]) carrying the per-stage latency
+//! breakdown (parse → cache lookup → queue wait → graph build →
+//! inference). The trace store decides whether to retain that record;
+//! clients sending `"debug": true` get it attached to the response
+//! under `debug`. The `result` payload itself is never perturbed by
+//! instrumentation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,11 +66,9 @@ pub struct ServiceConfig {
     /// batching, the pre-window behaviour). Defaults from
     /// `PARAGRAPH_BATCH_WINDOW_US` (microseconds, 0 = off).
     pub batch_window: Duration,
-    /// Event-log sampling: log every `n`th successful request (min 1 =
-    /// every request). Errors and slow requests are always logged.
-    pub event_sample: u64,
-    /// Requests at/above this latency count as slow: always event-logged
-    /// and counted in `paragraph_serve_slow_requests_total`.
+    /// Requests at/above this latency count as slow: counted in
+    /// `paragraph_serve_slow_requests_total` and always retained by the
+    /// trace store.
     pub slow_threshold: Duration,
     /// Drift-monitor tunables.
     pub drift: DriftConfig,
@@ -88,7 +88,6 @@ impl Default for ServiceConfig {
             enable_debug_ops: false,
             max_batch: 8,
             batch_window: batch_window_default(),
-            event_sample: 1,
             slow_threshold: Duration::from_millis(500),
             drift: DriftConfig::default(),
             shard: None,
@@ -167,8 +166,6 @@ pub struct Service {
     config: ServiceConfig,
     jobs: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Successful requests seen, for event-log sampling.
-    ok_requests: AtomicU64,
     slow_requests: Arc<Counter>,
     /// Invoked after a successful `reload` refreshed this service, so an
     /// embedder (the sharded gateway) can refresh sibling services that
@@ -236,7 +233,6 @@ impl Service {
             config,
             jobs: Some(tx),
             workers: handles,
-            ok_requests: AtomicU64::new(0),
             slow_requests,
             reload_hook: Mutex::new(None),
         }
@@ -460,9 +456,10 @@ impl Service {
     }
 
     /// Post-processing common to every request: pops the workers'
-    /// stage-timing payload off the envelope, maintains the slow-request
-    /// log, emits the (sampled) event record, and attaches the `debug`
-    /// breakdown when the client asked for it. Never touches `result`.
+    /// stage-timing payload off the envelope into the request's one
+    /// record, counts it if slow, attaches the `debug` view of the
+    /// record when the client asked for it, and hands the record to the
+    /// trace store's retention decision. Never touches `result`.
     #[allow(clippy::too_many_arguments)]
     fn finish_request(
         &self,
@@ -478,124 +475,66 @@ impl Service {
             Value::Object(m) => m.remove(OBS_KEY),
             _ => None,
         };
-        let latency_us = latency.as_secs_f64() * 1e6;
-        let mut stages = serde_json::Map::new();
-        stages.insert("parse_us", json!(parse_us));
-        let mut model = None;
-        let mut cache_hit = None;
-        let mut member_max_v = None;
-        let mut batched = None;
-        let mut ood = None;
-        if let Some(Value::Object(mut o)) = worker_obs {
-            if let Some(Value::Object(s)) = o.remove("stages") {
-                for (k, v) in s.iter() {
-                    stages.insert(k.clone(), v.clone());
-                }
-            }
-            model = o.remove("model").and_then(|v| v.as_str().map(String::from));
-            cache_hit = o.remove("cache_hit").and_then(|v| v.as_bool());
-            member_max_v = o.remove("member_max_v").and_then(|v| v.as_f64());
-            batched = o.remove("batched").and_then(|v| v.as_u64());
-            ood = o.remove("ood").and_then(|v| v.as_bool());
-        }
-        stages.insert("total_us", json!(latency_us));
         let slow = latency >= self.config.slow_threshold;
         if slow {
             self.slow_requests.inc();
         }
-        if paragraph_obs::store_enabled() {
-            // Tail retention: the request is over, its outcome known —
-            // decide now whether its span tree is worth keeping.
-            let shed = matches!(
+        let mut record = paragraph_obs::RequestOutcome {
+            op: op.name().to_owned(),
+            ok,
+            shed: matches!(
                 response["error"]["code"].as_str(),
                 Some("overloaded" | "deadline_exceeded")
-            );
-            let stage_pairs = stages
-                .iter()
-                .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-                .collect();
-            paragraph_obs::trace_store().complete(
-                request_id,
-                paragraph_obs::RequestOutcome {
-                    op: op.name().to_owned(),
-                    ok,
-                    shed,
-                    slow,
-                    ood: ood.unwrap_or(false),
-                    total_us: latency_us,
-                    stages: stage_pairs,
-                },
-            );
-        }
-        let sampled = if ok {
-            let n = self.ok_requests.fetch_add(1, Ordering::Relaxed);
-            n.is_multiple_of(self.config.event_sample.max(1))
-        } else {
-            true // errors are always logged
+            ),
+            slow,
+            total_us: latency.as_secs_f64() * 1e6,
+            stages: vec![("parse_us".to_owned(), parse_us)],
+            ..Default::default()
         };
-        if paragraph_obs::events_enabled() && (sampled || slow) {
-            let stages_json = serde_json::to_string(&Value::Object(stages.clone()))
-                .expect("stage timings serialise");
-            let mut event = paragraph_obs::Event::new("request")
-                .str_field("request_id", request_id)
-                .str_field("op", op.name())
-                .str_field("span", "serve_request")
-                .bool_field("ok", ok)
-                .bool_field("slow", slow)
-                .f64_field("latency_us", latency_us)
-                .raw_field("stages", &stages_json);
-            if let Some(m) = &model {
-                event = event.str_field("model", m);
+        // The debug view alone shows `member_max_v`, and shows `ood`
+        // only for requests the drift monitor judged.
+        let mut member_max_v = None;
+        let mut ood = None;
+        if let Some(Value::Object(mut o)) = worker_obs {
+            if let Some(Value::Object(s)) = o.remove("stages") {
+                record
+                    .stages
+                    .extend(s.iter().filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))));
             }
-            if let Some(c) = cache_hit {
-                event = event.bool_field("cache_hit", c);
-            }
-            if let Some(v) = member_max_v {
-                event = event.f64_field("member_max_v", v);
-            }
-            if let Some(b) = batched {
-                event = event.u64_field("batched", b);
-            }
-            if let Some(o) = ood {
-                event = event.bool_field("ood", o);
-            }
-            event.emit();
-            if slow {
-                paragraph_obs::Event::new("slow_request")
-                    .str_field("request_id", request_id)
-                    .str_field("op", op.name())
-                    .str_field("span", "serve_request")
-                    .f64_field("latency_us", latency_us)
-                    .f64_field(
-                        "threshold_us",
-                        self.config.slow_threshold.as_secs_f64() * 1e6,
-                    )
-                    .emit();
-            }
+            record.model = o.remove("model").and_then(|v| v.as_str().map(String::from));
+            record.cache_hit = o.remove("cache_hit").and_then(|v| v.as_bool());
+            record.batched = o.remove("batched").and_then(|v| v.as_u64());
+            member_max_v = o.remove("member_max_v").and_then(|v| v.as_f64());
+            ood = o.remove("ood").and_then(|v| v.as_bool());
         }
+        record.stages.push(("total_us".to_owned(), record.total_us));
+        record.ood = ood.unwrap_or(false);
         if debug {
             let mut dbg = serde_json::Map::new();
             dbg.insert("request_id", json!(request_id));
             dbg.insert("span", json!("serve_request"));
             dbg.insert("slow", json!(slow));
-            if let Some(m) = model {
+            if let Some(m) = &record.model {
                 dbg.insert("model", json!(m));
             }
-            if let Some(c) = cache_hit {
+            if let Some(c) = record.cache_hit {
                 dbg.insert("cache_hit", json!(c));
             }
             if let Some(v) = member_max_v {
                 dbg.insert("member_max_v", json!(v));
             }
-            if let Some(b) = batched {
+            if let Some(b) = record.batched {
                 dbg.insert("batched", json!(b));
             }
             if let Some(o) = ood {
                 dbg.insert("ood", json!(o));
             }
-            dbg.insert("stages", Value::Object(stages));
+            dbg.insert("stages", stages_json(&record.stages));
             response["debug"] = Value::Object(dbg);
         }
+        // Tail retention: the request is over, its outcome known —
+        // decide now whether its record and span tree are worth keeping.
+        paragraph_obs::trace_store().complete(request_id, record);
     }
 
     /// Queues one data-plane request, returning the reply channel on
@@ -702,17 +641,12 @@ impl Service {
                 "ood_requests_total": self.drift.ood_requests_total(),
                 "ood_fraction": self.drift.ood_fraction(),
             },
-            "events": {
-                "enabled": paragraph_obs::events_enabled(),
-                "dropped": paragraph_obs::dropped_events(),
-                // Wall-clock anchor of the shared span/event epoch:
-                // unix_ns = epoch_unix_ns + ts_us * 1000 correlates
-                // events.jsonl, trace.json, and /debug/traces
-                // timestamps with external timelines.
-                "epoch_unix_ns": paragraph_obs::epoch_unix_nanos(),
-            },
             "trace_store": {
                 "enabled": paragraph_obs::store_enabled(),
+                // Wall-clock anchor of the shared span epoch:
+                // unix_ns = epoch_unix_ns + ts_us * 1000 correlates
+                // trace.json, the trace log, and /debug/traces
+                // timestamps with external timelines.
                 "epoch_unix_ns": paragraph_obs::epoch_unix_nanos(),
                 "completed": store_counters.completed,
                 "retained": Value::Object(retained_by_reason),
@@ -746,6 +680,16 @@ fn lock_hook(
 ) -> std::sync::MutexGuard<'_, Option<Box<dyn Fn() + Send + Sync>>> {
     hook.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A stage breakdown as the JSON object the `debug` block, the trace
+/// index and the trace log all render.
+pub(crate) fn stages_json(stages: &[(String, f64)]) -> Value {
+    let mut map = serde_json::Map::new();
+    for (k, v) in stages {
+        map.insert(k.clone(), json!(*v));
+    }
+    Value::Object(map)
 }
 
 /// Attaches the worker's stage-timing payload to the response envelope

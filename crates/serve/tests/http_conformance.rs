@@ -560,7 +560,6 @@ fn slow_request_is_retained_with_full_span_tree() {
     let store = paragraph_obs::trace_store();
     store.reset();
     store.set_keep_one_in(0); // remarkable requests only
-    store.set_slow_threshold_us(f64::MAX); // the service's flag decides
 
     // A 3000-device chain takes far longer than the 1 ms slow
     // threshold; debug mode echoes the internal request id back.
@@ -665,7 +664,6 @@ fn debug_endpoints_respond_under_shedding() {
     let store = paragraph_obs::trace_store();
     store.reset();
     store.set_keep_one_in(0);
-    store.set_slow_threshold_us(f64::MAX);
     let service: Arc<Service> = handle.services()[0].clone();
 
     // Saturate: one slow job on the worker, one in the queue.

@@ -1,13 +1,15 @@
 //! Request-scoped observability end to end: request IDs, per-stage
-//! debug breakdowns, event-log records, rolling latency quantiles,
-//! slow-request accounting, and drift-driven health degradation.
+//! debug breakdowns, the trace store's retained request records,
+//! rolling latency quantiles, slow-request accounting, and drift-driven
+//! health degradation.
 //!
 //! Every test serialises on [`LOCK`]: tests that flip the process-global
-//! trace/event flags restore them before returning, and a service in any
-//! other test would otherwise write request records into the global
-//! event log while those flags are on. Assertions on
-//! recorded spans/events are guarded on `paragraph_obs::enabled()` so
-//! the suite also passes when the `trace` feature is compiled out.
+//! trace and store flags restore them before returning, and a service in
+//! any other test would otherwise complete requests into the global
+//! trace store while those flags are on. Assertions on recorded spans
+//! and retained traces are guarded on `paragraph_obs::enabled()` /
+//! `store_enabled()` so the suite also passes when the `trace` feature
+//! is compiled out.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -17,6 +19,7 @@ use paragraph::{
 };
 use paragraph_layout::LayoutConfig;
 use paragraph_netlist::parse_spice;
+use paragraph_obs::{RetainReason, TraceStore};
 use paragraph_serve::{DriftConfig, LoadedModels, ModelRegistry, Service, ServiceConfig};
 use serde_json::Value;
 
@@ -60,6 +63,31 @@ fn call(service: &Service, line: &str) -> Value {
     serde_json::from_str(&service.handle_line(line)).unwrap()
 }
 
+/// Turns the process-wide trace store on, empty, keeping one in
+/// `keep_one_in` unremarkable requests.
+fn fresh_store(keep_one_in: u64) -> &'static TraceStore {
+    paragraph_obs::set_store_enabled(true);
+    let store = paragraph_obs::trace_store();
+    store.reset();
+    store.set_keep_one_in(keep_one_in);
+    store
+}
+
+fn close_store(store: &TraceStore) {
+    paragraph_obs::set_store_enabled(false);
+    store.reset();
+}
+
+/// Requests the store retained, per reason name, in completion order.
+fn retained(store: &TraceStore) -> Vec<(String, &'static str)> {
+    let mut summaries = store.summaries();
+    summaries.reverse();
+    summaries
+        .into_iter()
+        .map(|s| (s.op, s.reason.name()))
+        .collect()
+}
+
 /// A netlist electrically unlike the training circuit: one net fanning
 /// out to dozens of gates, oversized devices.
 fn ood_netlist() -> String {
@@ -71,13 +99,33 @@ fn ood_netlist() -> String {
     s.replace('\n', "\\n")
 }
 
+/// The `debug` block and the retained trace are two views of one
+/// request record: the same id, model, cache flag, batch count and
+/// stage breakdown.
+fn assert_debug_matches_retained(store: &TraceStore, debug: &Value) {
+    let request_id = debug["request_id"].as_str().expect("request id");
+    let trace = store
+        .get(request_id)
+        .unwrap_or_else(|| panic!("{request_id} not retained"));
+    assert_eq!(trace.request_id, request_id);
+    assert_eq!(debug["model"].as_str(), trace.model.as_deref(), "{debug:?}");
+    assert_eq!(debug["cache_hit"].as_bool(), trace.cache_hit, "{debug:?}");
+    assert_eq!(debug["batched"].as_u64(), trace.batched, "{debug:?}");
+    let stages: Vec<(String, f64)> = debug["stages"]
+        .as_object()
+        .expect("stages object")
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_f64().expect("numeric stage")))
+        .collect();
+    assert_eq!(stages, trace.stages, "{debug:?}");
+}
+
 #[test]
-fn debug_predict_carries_stage_breakdown_and_correlates_with_events() {
+fn debug_predict_carries_stage_breakdown_and_matches_its_retained_trace() {
     let _g = lock();
     paragraph_obs::set_enabled(true);
-    paragraph_obs::set_events_enabled(true);
     let _ = paragraph_obs::take_events();
-    let _ = paragraph_obs::take_event_lines();
+    let store = fresh_store(1); // retain every request
 
     let svc = service(ServiceConfig {
         workers: 1,
@@ -142,17 +190,11 @@ fn debug_predict_carries_stage_breakdown_and_correlates_with_events() {
         "{cold:?}"
     );
 
+    if paragraph_obs::store_enabled() {
+        assert_debug_matches_retained(store, debug);
+        assert_debug_matches_retained(store, &cold["debug"]);
+    }
     if paragraph_obs::enabled() {
-        let lines = paragraph_obs::take_event_lines();
-        let record = lines
-            .iter()
-            .find(|l| l.contains(&format!("\"request_id\":\"{request_id}\"")))
-            .unwrap_or_else(|| panic!("no event for {request_id} in {lines:?}"));
-        assert!(record.contains("\"kind\":\"request\""));
-        assert!(record.contains("\"span\":\"serve_request\""));
-        assert!(record.contains("\"stages\":{"));
-        assert!(record.contains("\"cache_hit\":true"));
-
         let spans = paragraph_obs::take_events();
         assert!(
             spans.iter().any(|s| {
@@ -164,71 +206,76 @@ fn debug_predict_carries_stage_breakdown_and_correlates_with_events() {
             "no serve_request span carrying {request_id}"
         );
     }
-    paragraph_obs::set_events_enabled(false);
+    close_store(store);
     paragraph_obs::set_enabled(false);
 }
 
 #[test]
-fn event_sampling_logs_every_nth_ok_and_all_errors() {
+fn store_retains_errors_and_shed_requests_with_sampling_off() {
     let _g = lock();
-    paragraph_obs::set_enabled(true);
-    paragraph_obs::set_events_enabled(true);
-    let _ = paragraph_obs::take_event_lines();
+    let store = fresh_store(0); // remarkable requests only
 
     let svc = service(ServiceConfig {
-        event_sample: 3,
+        // Out of reach, so no request is retained as slow.
+        slow_threshold: Duration::from_secs(3600),
         ..ServiceConfig::default()
     });
     for i in 0..9 {
         let r = call(&svc, &format!(r#"{{"op": "health", "id": {i}}}"#));
         assert_eq!(r["ok"].as_bool(), Some(true));
     }
-    // Errors bypass sampling.
     let r = call(
         &svc,
         r#"{"op": "predict", "id": 99, "netlist": "m broken\n.end\n"}"#,
     );
-    assert_eq!(r["ok"].as_bool(), Some(false));
+    assert_eq!(
+        r["error"]["code"].as_str(),
+        Some("invalid_netlist"),
+        "{r:?}"
+    );
+    // A zero deadline has passed by the time a worker pops the job.
+    let r = call(
+        &svc,
+        &format!(r#"{{"op": "predict", "id": 100, "netlist": "{NL_ESCAPED}", "deadline_ms": 0}}"#),
+    );
+    assert_eq!(
+        r["error"]["code"].as_str(),
+        Some("deadline_exceeded"),
+        "{r:?}"
+    );
 
-    if paragraph_obs::enabled() {
-        let lines = paragraph_obs::take_event_lines();
-        let requests: Vec<_> = lines
-            .iter()
-            .filter(|l| l.contains("\"kind\":\"request\""))
-            .collect();
-        let ok_count = requests
-            .iter()
-            .filter(|l| l.contains("\"ok\":true"))
-            .count();
-        let err_count = requests
-            .iter()
-            .filter(|l| l.contains("\"ok\":false"))
-            .count();
-        assert_eq!(ok_count, 3, "every 3rd of 9 ok requests: {requests:?}");
-        assert_eq!(err_count, 1, "errors always logged: {requests:?}");
+    if paragraph_obs::store_enabled() {
+        assert_eq!(
+            retained(store),
+            [
+                ("predict".to_owned(), "error"),
+                ("predict".to_owned(), "shed")
+            ],
+            "ok requests are not retained with sampling off"
+        );
+        let counters = store.counters();
+        assert_eq!(counters.completed, 11);
+        assert_eq!(counters.not_retained, 9);
     }
-    paragraph_obs::set_events_enabled(false);
-    paragraph_obs::set_enabled(false);
+    close_store(store);
 }
 
 #[test]
-fn slow_requests_are_counted_and_always_logged() {
+fn slow_requests_are_counted_and_always_retained() {
     let _g = lock();
-    paragraph_obs::set_enabled(true);
-    paragraph_obs::set_events_enabled(true);
-    let _ = paragraph_obs::take_event_lines();
+    let store = fresh_store(0); // sampling must not decide slow requests
 
     let svc = service(ServiceConfig {
         // Zero threshold: every request counts as slow.
         slow_threshold: Duration::ZERO,
-        event_sample: 1_000_000, // sampling must not suppress slow logs
         ..ServiceConfig::default()
     });
-    // First request is sampled (n=0); the next two rely on slow-always.
     for i in 0..3 {
         let r = call(&svc, &format!(r#"{{"op": "health", "id": {i}}}"#));
         assert_eq!(r["ok"].as_bool(), Some(true));
     }
+    // The metrics op renders before its own request is finalised, so
+    // it sees exactly the three health requests.
     let metrics = call(&svc, r#"{"op": "metrics", "id": 100}"#);
     let text = metrics["result"]["prometheus"].as_str().unwrap();
     let slow_line = text
@@ -236,24 +283,17 @@ fn slow_requests_are_counted_and_always_logged() {
         .find(|l| l.starts_with("paragraph_serve_slow_requests_total"))
         .expect("slow counter rendered");
     let n: u64 = slow_line.rsplit(' ').next().unwrap().parse().unwrap();
-    // 3 health + the metrics request itself may already be counted.
-    assert!(n >= 3, "slow requests counted: {slow_line}");
+    assert_eq!(n, 3, "slow requests counted: {slow_line}");
 
-    if paragraph_obs::enabled() {
-        let lines = paragraph_obs::take_event_lines();
-        let slow = lines
-            .iter()
-            .filter(|l| l.contains("\"kind\":\"slow_request\""))
-            .count();
-        assert!(slow >= 3, "slow events: {lines:?}");
-        let logged = lines
-            .iter()
-            .filter(|l| l.contains("\"kind\":\"request\"") && l.contains("\"slow\":true"))
-            .count();
-        assert!(logged >= 3, "slow requests bypass sampling: {lines:?}");
+    if paragraph_obs::store_enabled() {
+        let kept = retained(store);
+        assert_eq!(kept.len(), 4, "every request retained: {kept:?}");
+        assert!(kept.iter().all(|(_, reason)| *reason == "slow"), "{kept:?}");
+        let counters = store.counters();
+        assert_eq!(counters.retained[RetainReason::Slow as usize], 4);
+        assert_eq!(counters.not_retained, 0);
     }
-    paragraph_obs::set_events_enabled(false);
-    paragraph_obs::set_enabled(false);
+    close_store(store);
 }
 
 #[test]
