@@ -685,8 +685,9 @@ mod extended_block_tests {
         // 2 precharge + 4 cells x 6T = 26 transistors.
         assert_eq!(c.kind_counts().tran, 26);
         // Bitlines carry one access transistor per row + precharge.
-        assert_eq!(c.fanout(bl), 5);
-        assert_eq!(c.fanout(blb), 5);
+        let fanouts = c.fanouts();
+        assert_eq!(fanouts[bl.0 as usize], 5);
+        assert_eq!(fanouts[blb.0 as usize], 5);
     }
 
     #[test]

@@ -68,15 +68,16 @@ fn global_nets_carry_heavy_fanout_in_aggregate() {
     let mut median_total = 0_usize;
     for seed in 0..8_u64 {
         let c = compose_chip("t", seed, FAMILY_DIGITAL, 60);
+        let all = c.fanouts();
         let mut fanouts: Vec<usize> = (0..c.num_nets())
             .filter(|&i| c.net_ref(NetId(i as u32)).class == NetClass::Signal)
-            .map(|i| c.fanout(NetId(i as u32)))
+            .map(|i| all[i])
             .collect();
         fanouts.sort_unstable();
         median_total += fanouts[fanouts.len() / 2];
         global_total += (0..3)
             .filter_map(|g| c.find_net(&format!("n{}_glb{g}", g + 1)))
-            .map(|n| c.fanout(n))
+            .map(|n| all[n.0 as usize])
             .max()
             .unwrap_or(0);
     }

@@ -365,6 +365,7 @@ fn extract_parasitics(
 pub fn designer_estimate(circuit: &Circuit, designer_seed: u64) -> Vec<Option<f64>> {
     // A given designer applies a consistent personal fudge factor...
     let bias = noise(designer_seed, 1234, 0, 1.2);
+    let fanouts = circuit.fanouts();
     circuit
         .nets()
         .iter()
@@ -373,7 +374,7 @@ pub fn designer_estimate(circuit: &Circuit, designer_seed: u64) -> Vec<Option<f6
             if net.class != NetClass::Signal {
                 return None;
             }
-            let fanout = circuit.fanout(NetId(i as u32)) as f64;
+            let fanout = fanouts[i] as f64;
             // ... plus per-net guesswork scatter.
             let scatter = noise(designer_seed, 5678, i as u64, 1.0);
             Some(0.12e-15 * fanout.max(1.0).powf(1.2) * bias * scatter)

@@ -239,7 +239,7 @@ impl std::error::Error for ValidateCircuitError {}
 /// c.add_mosfet("mp", MosPolarity::Pmos, false, vout, vin, vdd, vdd, DeviceParams::default());
 /// c.add_mosfet("mn", MosPolarity::Nmos, false, vout, vin, vss, vss, DeviceParams::default());
 /// assert_eq!(c.num_devices(), 2);
-/// assert_eq!(c.fanout(vout), 2);
+/// assert_eq!(c.fanouts()[vout.0 as usize], 2);
 /// c.validate().unwrap();
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -462,13 +462,14 @@ impl Circuit {
         self.devices.len()
     }
 
-    /// Number of device terminals attached to `net`.
-    pub fn fanout(&self, net: NetId) -> usize {
-        self.devices
-            .iter()
-            .flat_map(|d| d.conns.iter())
-            .filter(|(_, n)| *n == net)
-            .count()
+    /// Number of device terminals attached to each net, indexed by
+    /// net id: one pass over every terminal, so linear in circuit size.
+    pub fn fanouts(&self) -> Vec<usize> {
+        let mut counts = vec![0; self.nets.len()];
+        for (_, net) in self.devices.iter().flat_map(|d| &d.conns) {
+            counts[net.0 as usize] += 1;
+        }
+        counts
     }
 
     /// Per-kind device counts `(tran, tran_th, res, cap, bjt, dio)` as in
@@ -662,11 +663,11 @@ mod tests {
     #[test]
     fn fanout_counts_terminals() {
         let c = inverter();
-        let out = c.find_net("out").unwrap();
-        assert_eq!(c.fanout(out), 2);
-        let vdd = c.find_net("vdd").unwrap();
+        let fanouts = c.fanouts();
+        assert_eq!(fanouts.len(), c.num_nets());
+        assert_eq!(fanouts[c.find_net("out").unwrap().0 as usize], 2);
         // Source + bulk of the PMOS.
-        assert_eq!(c.fanout(vdd), 2);
+        assert_eq!(fanouts[c.find_net("vdd").unwrap().0 as usize], 2);
     }
 
     #[test]

@@ -307,7 +307,7 @@ mod tests {
         // a, mid, z + vdd + vss = 5 nets; rails shared.
         assert_eq!(flat.num_nets(), 5);
         assert!(flat.find_net("vdd").is_some());
-        assert_eq!(flat.fanout(flat.find_net("mid").unwrap()), 4);
+        assert_eq!(flat.fanouts()[flat.find_net("mid").unwrap().0 as usize], 4);
     }
 
     #[test]

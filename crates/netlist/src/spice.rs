@@ -5,7 +5,7 @@
 //! suffixes, `.subckt`/`.ends`, `+` continuation lines, and `*`/`$`
 //! comments.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::circuit::{Circuit, DeviceKind, DeviceParams, MosPolarity};
 use crate::hierarchy::{Instance, Netlist, Subckt};
@@ -284,36 +284,33 @@ fn mos_model(model: &str) -> Option<(MosPolarity, bool)> {
 /// Round-trips with [`parse_spice`]: `parse(write(n))` reproduces the same
 /// flattened circuit.
 pub fn write_spice(netlist: &Netlist) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("* netlist {}\n", netlist.top.name));
+    let mut out = format!("* netlist {}\n", netlist.top.name);
     for sub in &netlist.subckts {
         out.push_str(&format!(".subckt {} {}\n", sub.name, sub.ports.join(" ")));
-        write_body(&mut out, sub);
+        write_body(&mut out, &sub.circuit, &sub.instances).expect(STRING_WRITE);
         out.push_str(".ends\n");
     }
-    write_body(&mut out, &netlist.top);
+    write_body(&mut out, &netlist.top.circuit, &netlist.top.instances).expect(STRING_WRITE);
     out.push_str(".end\n");
     out
 }
 
 /// Serialises a flat circuit as a top-level SPICE deck.
 pub fn write_flat_spice(circuit: &Circuit) -> String {
-    let sub = Subckt {
-        name: circuit.name.clone(),
-        ports: vec![],
-        circuit: circuit.clone(),
-        instances: vec![],
-    };
     let mut out = format!("* flat circuit {}\n", circuit.name);
-    write_body(&mut out, &sub);
+    write_body(&mut out, circuit, &[]).expect(STRING_WRITE);
     out.push_str(".end\n");
     out
 }
 
-fn write_body(out: &mut String, sub: &Subckt) {
+const STRING_WRITE: &str = "writing to a String cannot fail";
+
+/// Appends one card per device, then one per instance, straight into
+/// `out`.
+fn write_body(out: &mut String, circuit: &Circuit, instances: &[Instance]) -> fmt::Result {
     use crate::units::format_value;
-    let net = |id| &sub.circuit.net_ref(id).name;
-    for d in sub.circuit.devices() {
+    let net = |id| &circuit.net_ref(id).name;
+    for d in circuit.devices() {
         let p = &d.params;
         match d.kind {
             DeviceKind::Mosfet {
@@ -326,9 +323,10 @@ fn write_body(out: &mut String, sub: &Subckt) {
                     (MosPolarity::Nmos, true) => "nch_hv",
                     (MosPolarity::Pmos, true) => "pch_hv",
                 };
-                out.push_str(&format!(
-                    "{} {} {} {} {} {} l={} nfin={} nf={} m={}\n",
-                    ensure_prefix(&d.name, 'm'),
+                writeln!(
+                    out,
+                    "{} {} {} {} {} {} l={} nfin={} nf={} m={}",
+                    CardName(&d.name, 'm'),
                     net(d.conns[0].1),
                     net(d.conns[1].1),
                     net(d.conns[2].1),
@@ -338,67 +336,73 @@ fn write_body(out: &mut String, sub: &Subckt) {
                     p.nfin,
                     p.nf,
                     p.multi,
-                ));
+                )?;
             }
-            DeviceKind::Resistor => {
-                out.push_str(&format!(
-                    "{} {} {} {} l={}\n",
-                    ensure_prefix(&d.name, 'r'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    format_value(p.value),
-                    format_value(p.l),
-                ));
-            }
-            DeviceKind::Capacitor => {
-                out.push_str(&format!(
-                    "{} {} {} {} m={}\n",
-                    ensure_prefix(&d.name, 'c'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    format_value(p.value),
-                    p.multi,
-                ));
-            }
-            DeviceKind::Diode => {
-                out.push_str(&format!(
-                    "{} {} {} dnom nf={}\n",
-                    ensure_prefix(&d.name, 'd'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    p.nf,
-                ));
-            }
-            DeviceKind::Bjt { pnp } => {
-                out.push_str(&format!(
-                    "{} {} {} {} {}\n",
-                    ensure_prefix(&d.name, 'q'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    net(d.conns[2].1),
-                    if pnp { "pnp" } else { "npn" },
-                ));
-            }
+            DeviceKind::Resistor => writeln!(
+                out,
+                "{} {} {} {} l={}",
+                CardName(&d.name, 'r'),
+                net(d.conns[0].1),
+                net(d.conns[1].1),
+                format_value(p.value),
+                format_value(p.l),
+            )?,
+            DeviceKind::Capacitor => writeln!(
+                out,
+                "{} {} {} {} m={}",
+                CardName(&d.name, 'c'),
+                net(d.conns[0].1),
+                net(d.conns[1].1),
+                format_value(p.value),
+                p.multi,
+            )?,
+            DeviceKind::Diode => writeln!(
+                out,
+                "{} {} {} dnom nf={}",
+                CardName(&d.name, 'd'),
+                net(d.conns[0].1),
+                net(d.conns[1].1),
+                p.nf,
+            )?,
+            DeviceKind::Bjt { pnp } => writeln!(
+                out,
+                "{} {} {} {} {}",
+                CardName(&d.name, 'q'),
+                net(d.conns[0].1),
+                net(d.conns[1].1),
+                net(d.conns[2].1),
+                if pnp { "pnp" } else { "npn" },
+            )?,
         }
     }
-    for inst in &sub.instances {
-        out.push_str(&format!(
-            "{} {} {}\n",
-            ensure_prefix(&inst.name, 'x'),
+    for inst in instances {
+        writeln!(
+            out,
+            "{} {} {}",
+            CardName(&inst.name, 'x'),
             inst.conns.join(" "),
             inst.subckt,
-        ));
+        )?;
     }
+    Ok(())
 }
 
-/// SPICE cards are typed by their first letter; prefix names that would
-/// otherwise parse as a different card (device names from flattening may
-/// start with any letter).
-fn ensure_prefix(name: &str, prefix: char) -> String {
-    if name.to_ascii_lowercase().starts_with(prefix) {
-        name.to_owned()
-    } else {
-        format!("{prefix}_{name}")
+/// A card name as written: SPICE cards are typed by their first letter,
+/// so a name that would otherwise parse as a different card (device
+/// names from flattening may start with any letter) gets `<prefix>_`.
+struct CardName<'a>(&'a str, char);
+
+impl fmt::Display for CardName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let CardName(name, prefix) = *self;
+        if !name
+            .chars()
+            .next()
+            .is_some_and(|c| c.eq_ignore_ascii_case(&prefix))
+        {
+            write!(f, "{prefix}_")?;
+        }
+        f.write_str(name)
     }
 }
 

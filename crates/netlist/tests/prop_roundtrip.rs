@@ -100,11 +100,7 @@ proptest! {
         k1.net = 0;
         k2.net = 0;
         prop_assert_eq!(k1, k2);
-        let connected = |c: &Circuit| {
-            (0..c.num_nets())
-                .filter(|&i| c.fanout(paragraph_netlist::NetId(i as u32)) > 0)
-                .count()
-        };
+        let connected = |c: &Circuit| c.fanouts().iter().filter(|&&f| f > 0).count();
         prop_assert_eq!(connected(&c), connected(&back));
         back.validate().unwrap();
         // Device sizing survives (nf/nfin/multi exactly; l within format
@@ -114,6 +110,21 @@ proptest! {
             prop_assert_eq!(d1.params.nf, d2.params.nf);
             prop_assert_eq!(d1.params.nfin, d2.params.nfin);
             prop_assert_eq!(d1.params.multi, d2.params.multi);
+        }
+    }
+
+    #[test]
+    fn fanouts_match_a_per_net_count(c in arb_circuit()) {
+        let fanouts = c.fanouts();
+        prop_assert_eq!(fanouts.len(), c.num_nets());
+        for (i, &f) in fanouts.iter().enumerate() {
+            let brute = c
+                .devices()
+                .iter()
+                .flat_map(|d| &d.conns)
+                .filter(|(_, n)| n.0 as usize == i)
+                .count();
+            prop_assert_eq!(f, brute, "net {}", i);
         }
     }
 

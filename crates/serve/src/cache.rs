@@ -1,19 +1,28 @@
-//! Prediction cache keyed by model key plus a content hash of the
-//! flattened netlist, with LRU eviction and hit/miss accounting.
+//! Prediction cache keyed by model key plus a content key of the
+//! flattened circuit, with LRU eviction and hit/miss accounting.
 //!
-//! Keying on the *flattened* SPICE text means two textually different
-//! decks that flatten to the same circuit (comments, blank lines,
-//! hierarchy spelled differently) share one entry, while any electrical
-//! change produces a new key. Cached values are the exact `result`
+//! The content key ([`circuit_key`]) is one keyed SipHash pass over the
+//! flat circuit itself, not over any text: two decks that flatten to the
+//! same circuit (comments, blank lines, `+` continuations, letter case,
+//! hierarchy spelled differently) share one entry, while any change that
+//! reaches a prediction — a net, a connection, the exact bits of a
+//! parameter — produces a new key. Cached values are the exact `result`
 //! payloads served on the uncached path, so hits are bit-identical.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use paragraph_netlist::Circuit;
 use serde_json::Value;
 
-/// FNV-1a content hash, used for cache keys.
+/// FNV-1a hash of `text`: deterministic across processes and releases.
+///
+/// Not the prediction-cache key: the service keys its cache on a keyed
+/// SipHash of the flat circuit itself (see `docs/serving.md`). Kept for
+/// callers that need a digest of a text that is the same in every
+/// process.
 pub fn fnv1a(text: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for byte in text.bytes() {
@@ -21,6 +30,46 @@ pub fn fnv1a(text: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The content key of a flat circuit, in one pass and without
+/// re-serialising it.
+///
+/// Hashes everything a predict response depends on: the circuit name,
+/// the net table in id order (name and class: the order is the order of
+/// the response's entries, and a net no device touches is still an
+/// entry), and per device its name, kind, each terminal with its net,
+/// and the exact bits of every parameter. Exact bits matter: SPICE text
+/// keeps 6 decimals, so `l=1n` and `l=1.0000004n` print alike but give
+/// different feature rows. The hasher is std's SipHash with keys drawn
+/// once per process, so a client cannot craft two netlists that collide.
+pub(crate) fn circuit_key(circuit: &Circuit) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    let mut h = KEYS.get_or_init(RandomState::new).build_hasher();
+    circuit.name.hash(&mut h);
+    h.write_usize(circuit.num_nets());
+    for net in circuit.nets() {
+        net.name.hash(&mut h);
+        net.class.hash(&mut h);
+    }
+    h.write_usize(circuit.num_devices());
+    for dev in circuit.devices() {
+        dev.name.hash(&mut h);
+        dev.kind.hash(&mut h);
+        h.write_usize(dev.conns.len());
+        for (terminal, net) in &dev.conns {
+            terminal.hash(&mut h);
+            h.write_u32(net.0);
+        }
+        let p = &dev.params;
+        for bits in [p.l, p.w, p.value].map(f64::to_bits) {
+            h.write_u64(bits);
+        }
+        for count in [p.nf, p.nfin, p.multi] {
+            h.write_u32(count);
+        }
+    }
+    h.finish()
 }
 
 #[derive(Debug)]
@@ -184,6 +233,55 @@ mod tests {
         cache.put("m", 1, Arc::new(json!(1)));
         assert!(cache.get("m", 1).is_none());
         assert!(cache.is_empty());
+    }
+
+    fn key_of(netlist: &str) -> u64 {
+        circuit_key(
+            &paragraph_netlist::parse_spice(netlist)
+                .unwrap()
+                .flatten()
+                .unwrap(),
+        )
+    }
+
+    #[test]
+    fn circuit_key_ignores_spelling_and_sees_every_bit() {
+        let base = key_of("mp o i vdd vdd pch l=1n\nmn o i vss vss nch\n.end\n");
+        assert_eq!(
+            base,
+            key_of(
+                "* inverter\n\nMP O I VDD VDD PCH\n+ L=1N\nmn o i vss vss nch $ pull-down\n.END\n"
+            ),
+            "comments, blank lines, continuations and case do not reach the circuit"
+        );
+        for changed in [
+            // Prints as `l=1n` in 6-decimal SPICE text.
+            "mp o i vdd vdd pch l=1.0000004n\nmn o i vss vss nch\n.end\n",
+            "mp o i vdd vdd pch l=1n nf=2\nmn o i vss vss nch\n.end\n",
+            "mp o i vdd vdd pch_hv l=1n\nmn o i vss vss nch\n.end\n",
+            "mp o i vdd vdd pch l=1n\nmn o j vss vss nch\n.end\n",
+            "mp i o vdd vdd pch l=1n\nmn o i vss vss nch\n.end\n",
+            "mp o i vdd vdd pch l=1n\nmx o i vss vss nch\n.end\n",
+        ] {
+            assert_ne!(base, key_of(changed), "{changed}");
+        }
+    }
+
+    /// The same devices on the same nets still answer differently when
+    /// the nets are numbered in another order (the response lists them
+    /// in id order) or a net no device touches is added (it is listed).
+    #[test]
+    fn circuit_key_sees_net_order_and_unconnected_nets() {
+        let inv = ".subckt inv a y\nmp y a vdd vdd pch\nmn y a vss vss nch\n.ends\n";
+        let plain = format!("{inv}x0 i o inv\n.end\n");
+        let swapped = format!("{}x0 o i inv\n.end\n", inv.replace("a y\n", "y a\n"));
+        let dangling = format!(
+            "{}x0 i o spare inv\n.end\n",
+            inv.replace("a y\n", "a y nc\n")
+        );
+        for other in [swapped, dangling] {
+            assert_ne!(key_of(&plain), key_of(&other), "{other}");
+        }
     }
 
     #[test]

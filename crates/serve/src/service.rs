@@ -24,11 +24,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use paragraph_netlist::{erc_check, parse_spice, write_flat_spice, Circuit};
+use paragraph_netlist::{erc_check, parse_spice, Circuit};
 use paragraph_obs::Counter;
 use serde_json::{json, Value};
 
-use crate::cache::{fnv1a, PredictionCache};
+use crate::cache::{circuit_key, PredictionCache};
 use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor};
 use crate::metrics::Metrics;
 use crate::protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeError};
@@ -950,7 +950,7 @@ fn predict_many(
                 continue;
             }
         };
-        let content_hash = fnv1a(&write_flat_spice(&circuit));
+        let content_hash = circuit_key(&circuit);
         if let Some(hit) = cache.get(&key, content_hash) {
             let lookup_done = Instant::now();
             let lookup_us = lookup_done.duration_since(lookup_started).as_secs_f64() * 1e6;

@@ -15,7 +15,7 @@ use common::{
     test_service_config, HttpClient, LineClient, NETLIST_A, NETLIST_B,
 };
 use paragraph_serve::{
-    GatewayConfig, ModelRegistry, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
+    GatewayConfig, ModelRegistry, PendingCall, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
 };
 use serde_json::{json, Value};
 
@@ -255,6 +255,41 @@ fn chain_netlist(tag: usize, devices: usize) -> String {
     s
 }
 
+/// Saturates a one-worker, queue-of-one shard through the service API:
+/// the worker takes the first slow job off the queue, the second waits
+/// in it, and the third is shed. Waiting for the worker to take the
+/// first job, instead of sleeping a fixed time, keeps this independent
+/// of how fast a job runs. Returns the two pending calls.
+fn saturate(service: &Service, tag: u64) -> Vec<PendingCall> {
+    let slow = |k: u64| {
+        let id = tag + k;
+        predict_line(id, &chain_netlist(id as usize, 2_000), None)
+    };
+    let pending = |submitted| match submitted {
+        Submitted::Pending(call) => call,
+        Submitted::Done(envelope) => panic!("shed before the queue was full: {envelope:?}"),
+    };
+    let first = pending(service.submit_line(&slow(0)));
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while service.metrics().queue_depth() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker never took a job"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let second = pending(service.submit_line(&slow(1)));
+    match service.submit_line(&slow(2)) {
+        Submitted::Done(envelope) => assert_eq!(
+            envelope["error"]["code"].as_str(),
+            Some("overloaded"),
+            "{envelope:?}"
+        ),
+        Submitted::Pending(_) => panic!("service never shed under a full queue"),
+    }
+    vec![first, second]
+}
+
 #[test]
 fn load_shedding_yields_503_with_retry_after_and_structured_overloaded() {
     let (dir, _ensemble) = build_model_dir("shed");
@@ -278,26 +313,7 @@ fn load_shedding_yields_503_with_retry_after_and_structured_overloaded() {
 
     // Fill the shard through the service API until it sheds: at that
     // point the worker is grinding a slow job and the queue is full.
-    let mut pending = Vec::new();
-    let mut shed_directly = false;
-    for k in 0..10 {
-        let line = predict_line(100 + k, &chain_netlist(k as usize, 2_000), None);
-        match service.submit_line(&line) {
-            Submitted::Pending(call) => pending.push(call),
-            Submitted::Done(envelope) => {
-                assert_eq!(
-                    envelope["error"]["code"].as_str(),
-                    Some("overloaded"),
-                    "{envelope:?}"
-                );
-                shed_directly = true;
-                break;
-            }
-        }
-        // Give the worker a moment to pull the head job off the queue.
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(shed_directly, "service never shed under a full queue");
+    let pending = saturate(&service, 100);
 
     // An HTTP predict arriving now is shed with 503 + Retry-After...
     let mut http = HttpClient::connect(handle.addr());
@@ -667,21 +683,7 @@ fn debug_endpoints_respond_under_shedding() {
     let service: Arc<Service> = handle.services()[0].clone();
 
     // Saturate: one slow job on the worker, one in the queue.
-    let mut pending = Vec::new();
-    let mut shed = false;
-    for k in 0..10 {
-        let line = predict_line(700 + k, &chain_netlist(7_000 + k as usize, 2_000), None);
-        match service.submit_line(&line) {
-            Submitted::Pending(call) => pending.push(call),
-            Submitted::Done(envelope) => {
-                assert_eq!(envelope["error"]["code"].as_str(), Some("overloaded"));
-                shed = true;
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(shed, "service never shed under a full queue");
+    let pending = saturate(&service, 7_000);
 
     // An HTTP predict is shed 503 — and the debug surface still works.
     let mut c = HttpClient::connect(handle.addr());

@@ -232,6 +232,84 @@ fn concurrent_clients_mixed_traffic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `l=1.0000004n` prints as `l=1n` at the 6 decimals SPICE text keeps,
+/// but its feature rows differ: the cache key must tell the two apart,
+/// and the second request must be answered from its own circuit.
+#[test]
+fn parameters_that_print_alike_do_not_share_a_cache_entry() {
+    let (dir, ensemble) = build_model_dir("it-exactkey");
+    let (_service, handle) = start_server(&dir);
+    let mut c = Client::connect(handle.addr());
+    let coarse = "mp o i vdd vdd pch l=1n\nmn o i vss vss nch\n.end\n";
+    let fine = "mp o i vdd vdd pch l=1.0000004n\nmn o i vss vss nch\n.end\n";
+    let first = c.roundtrip(&predict_line(1, coarse, None));
+    assert_eq!(first["cached"].as_bool(), Some(false), "{first:?}");
+    let second = c.roundtrip(&predict_line(2, fine, None));
+    assert_eq!(second["ok"].as_bool(), Some(true), "{second:?}");
+    assert_eq!(
+        second["cached"].as_bool(),
+        Some(false),
+        "served from the l=1n entry"
+    );
+    let served = response_predictions(&second);
+    let expected = direct_reference(&ensemble, fine);
+    assert_eq!(served.len(), expected.len());
+    for ((net, got), (_, want)) in served.iter().zip(&expected) {
+        assert_eq!(got.to_bits(), want.to_bits(), "net {net}: {got} vs {want}");
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A deck respelled with comments, blank lines, `+` continuations, other
+/// letter case and a renamed, reordered hierarchy flattens to the same
+/// circuit: it hits the entry the original wrote, byte for byte.
+#[test]
+fn respelled_netlist_hits_with_a_byte_identical_result() {
+    let original = "\
+.subckt inv a y vdd vss
+mp y a vdd vdd pch l=16n nfin=4
+mn y a vss vss nch l=16n nfin=2
+.ends
+x0 in mid vdd vss inv
+x1 mid out vdd vss inv
+c0 out vss 2f
+.end
+";
+    let respelled = "\
+* two-stage buffer, respelled
+
+.SUBCKT spare p
+R1 P VSS 1K
+.ENDS
+.Subckt INVERTER IN OUT SUP GND   $ ports renamed
+MP OUT IN SUP SUP
++ PCH L=16N NFIN=4
+mn out in gnd gnd nch l=16n
++ nfin=2
+.ends INVERTER
+
+X0 IN MID VDD VSS INVERTER
+x1 mid out vdd vss inverter
+C0 OUT VSS 2F ; load
+.END
+";
+    let (dir, _ensemble) = build_model_dir("it-respell");
+    let (_service, handle) = start_server(&dir);
+    let mut c = Client::connect(handle.addr());
+    let miss = c.roundtrip(&predict_line(1, original, None));
+    assert_eq!(miss["ok"].as_bool(), Some(true), "{miss:?}");
+    assert_eq!(miss["cached"].as_bool(), Some(false));
+    let hit = c.roundtrip(&predict_line(2, respelled, None));
+    assert_eq!(hit["cached"].as_bool(), Some(true), "{hit:?}");
+    assert_eq!(
+        serde_json::to_string(&hit["result"]).unwrap(),
+        serde_json::to_string(&miss["result"]).unwrap()
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hot_reload_swaps_registry() {
     let (dir, _ensemble) = build_model_dir("it-reload");

@@ -5,9 +5,7 @@ use paragraph_circuitgen::{paper_dataset, DatasetConfig};
 use paragraph_netlist::{parse_spice, write_flat_spice};
 
 fn connected(c: &paragraph_netlist::Circuit) -> usize {
-    (0..c.num_nets())
-        .filter(|&i| c.fanout(paragraph_netlist::NetId(i as u32)) > 0)
-        .count()
+    c.fanouts().iter().filter(|&&f| f > 0).count()
 }
 
 #[test]
@@ -40,10 +38,7 @@ fn dataset_circuits_roundtrip_through_spice() {
         // Per-net fanout distribution preserved (order-independent;
         // dangling zero-fanout nets excluded — see above).
         let fanouts = |c: &paragraph_netlist::Circuit| {
-            let mut f: Vec<usize> = (0..c.num_nets())
-                .map(|i| c.fanout(paragraph_netlist::NetId(i as u32)))
-                .filter(|&f| f > 0)
-                .collect();
+            let mut f: Vec<usize> = c.fanouts().into_iter().filter(|&f| f > 0).collect();
             f.sort_unstable();
             f
         };
@@ -77,4 +72,53 @@ fn graphs_of_roundtripped_circuits_match() {
             );
         }
     }
+}
+
+/// FNV-1a over `text`, continuing from `h`.
+fn fnv1a(mut h: u64, text: &str) -> u64 {
+    for byte in text.bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `write_flat_spice` is the benchmark's request-body generator and the
+/// text every round trip above rests on: its output is pinned byte for
+/// byte over one chip of every block family plus the first dataset
+/// chips (digest captured before the writer stopped cloning the circuit).
+#[test]
+fn flat_spice_text_is_pinned() {
+    use paragraph_circuitgen::{
+        compose_chip, FAMILY_ANALOG, FAMILY_DAC, FAMILY_DIGITAL, FAMILY_IO, FAMILY_MEM, FAMILY_PLL,
+        FAMILY_PMU, FAMILY_REF,
+    };
+    let families = [
+        FAMILY_DIGITAL,
+        FAMILY_ANALOG,
+        FAMILY_IO,
+        FAMILY_DAC,
+        FAMILY_PLL,
+        FAMILY_MEM,
+        FAMILY_PMU,
+        FAMILY_REF,
+    ];
+    let mut circuits: Vec<_> = families
+        .iter()
+        .enumerate()
+        .map(|(i, family)| compose_chip(&format!("chip{i}"), 7 + i as u64, family, 12))
+        .collect();
+    let data = paper_dataset(DatasetConfig {
+        scale: 0.06,
+        seed: 4,
+    });
+    circuits.extend(data.into_iter().take(3).map(|dc| dc.circuit));
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut bytes = 0;
+    for c in &circuits {
+        let text = write_flat_spice(c);
+        bytes += text.len();
+        digest = fnv1a(digest, &text);
+    }
+    assert_eq!((bytes, digest), (42_353, 0x60c7_b3cd_d699_fc0d));
 }
